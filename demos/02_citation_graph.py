@@ -30,25 +30,27 @@ print("fact-side schemas:")
 for s in schemas[4:]:
     print(f"  {s.id}")
 
-# --- exhaustive enumeration vs sampling ------------------------------------------
+# --- co-citation instances vs sampling -------------------------------------------
 target = hierarchy.section_ids[0]
 cocite = schemas[0]  # S-ctb-F-ct-S: sections co-cited with the target
-instances = graph.enumerate_instances(target, cocite)
+# every instance, listed by walking the two relations (stored target-last)
+instances = {(other, fact, target)
+             for fact in graph.neighbors(target, "ctb")
+             for other in graph.neighbors(fact, "ct")}
 print(f"\nsection {target}: {len(instances)} co-citation instances exist, e.g.")
-for inst in instances[:4]:
-    print("  " + " -> ".join(inst.nodes))
+for nodes in sorted(instances)[:4]:
+    print("  " + " -> ".join(nodes))
 
 sampled = graph.sample_instances(target, cocite, k=8, seed=0)
 print(f"\nsampled 8 with replacement (seeded, so reruns repeat exactly):")
 for inst in sampled[:4]:
     print("  " + " -> ".join(inst.nodes))
-members = {i.nodes for i in instances}
-print("every sampled instance appears in the enumeration:",
-      all(i.nodes in members for i in sampled))
+print("every sampled instance is one of them:",
+      all(i.nodes in instances for i in sampled))
 
 sibling = schemas[1]  # S-po-T-inc-S: sections under the same topic
-print(f"\nsiblings of section {target} through its topic:")
-for inst in graph.enumerate_instances(target, sibling)[:5]:
+print(f"\nsiblings of section {target} through its topic (sampled):")
+for inst in graph.sample_instances(target, sibling, k=5, seed=0):
     print("  " + " -> ".join(inst.nodes))
 
 # --- inductive hygiene -------------------------------------------------------------

@@ -61,6 +61,6 @@ with no_grad():
 print(f"\nattribute score matrix: {triple.attribute.shape} — text vs text")
 print(f"alignment score matrix: {triple.alignment.shape} — text vs graph")
 print(f"structural score at inference: {triple.structural} (facts are unseen nodes)")
-combined = triple.combined(lambda_a=0.25, lambda_l=0.75)
+combined = 0.25 * triple.attribute.data + 0.75 * triple.alignment.data  # lambda_a, lambda_l
 print(f"\ncombined scores for fact {docs[0].id!r} (untrained, so near 0.5):")
 print("  " + "  ".join(f"{sid}:{v:.2f}" for sid, v in zip(sections, combined[0])))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -164,8 +164,6 @@ def cmd_build_graph(args) -> int:
 
 def cmd_train(args) -> int:
     config, ablation = _resolve_config(args)
-    if args.exclude_self_edges:
-        config = replace(config, exclude_self_edges=True)
     _check_role(args.facts, "train")
     _echo_and_store(args.out_dir, "train", {**export_config(config), "ablation": ablation,
                                             "facts": str(args.facts), "val_facts": str(args.val_facts),
@@ -201,7 +199,7 @@ def cmd_train(args) -> int:
         tuned = tune_threshold(predictor, val_docs)
         print(f"tuned tau: {tuned}")
     else:
-        tuned = config.tau
+        tuned = None
     checkpoint = args.out_dir / "checkpoint.npz"
     save_checkpoint(checkpoint, model, vocab, export_config(config),
                     extra={"ablation": ablation, "best_epoch": result.best_epoch,
@@ -212,20 +210,32 @@ def cmd_train(args) -> int:
 
 
 def _restore(args):
+    """Load a checkpoint for scoring. Its threshold is --tau if given, else
+    the tau tuned by `train --tune-threshold`, else the training config's."""
     graph = HeteroGraph.load(args.graph)
     model, vocab, meta = load_checkpoint(args.checkpoint, graph)
-    config = TrainingConfig(**meta["train_config"])
+    # Checkpoints written by older versions may name options that have since
+    # been removed, such as the self-edge walk flag; those only configured
+    # training, so scoring drops them.
+    known = {f.name for f in fields(TrainingConfig)}
+    values = {k: v for k, v in meta["train_config"].items() if k in known}
+    tuned = meta["extra"].get("tuned_tau")
     if args.tau is not None:
-        config = TrainingConfig(**{**meta["train_config"], "tau": args.tau})
+        values["tau"], tau_source = args.tau, "flag"
+    elif tuned is not None:
+        values["tau"], tau_source = tuned, "checkpoint"
+    else:
+        tau_source = "config"
+    config = TrainingConfig(**values)
     hierarchy = load_hierarchy(args.hierarchy)
     if hierarchy.section_ids != model.section_ids:
         raise SystemExit("error: hierarchy file does not match the checkpoint's section order")
-    return graph, model, vocab, config, meta, hierarchy
+    return graph, model, vocab, config, tau_source, hierarchy
 
 
 def cmd_evaluate(args) -> int:
-    graph, model, vocab, config, meta, hierarchy = _restore(args)
-    _echo_and_store(args.out_dir, "evaluate", {**export_config(config),
+    graph, model, vocab, config, tau_source, hierarchy = _restore(args)
+    _echo_and_store(args.out_dir, "evaluate", {**export_config(config), "tau_source": tau_source,
                                                "checkpoint": str(args.checkpoint),
                                                "facts": str(args.facts)})
     docs = _load_corpus(args.facts, hierarchy)
@@ -242,8 +252,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    graph, model, vocab, config, meta, hierarchy = _restore(args)
-    _echo_and_store(args.out_dir, "predict", {**export_config(config),
+    graph, model, vocab, config, tau_source, hierarchy = _restore(args)
+    _echo_and_store(args.out_dir, "predict", {**export_config(config), "tau_source": tau_source,
                                               "checkpoint": str(args.checkpoint),
                                               "facts": str(args.facts)})
     docs = _load_corpus(args.facts, hierarchy)
@@ -305,8 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", type=Path, required=True)
     p.add_argument("--vectors", type=Path, default=None,
                    help="pretrained word vectors (token v1..vd per line)")
-    p.add_argument("--exclude-self-edges", action="store_true",
-                   help="experimental: walks for a node may not revisit it")
     p.add_argument("--tune-threshold", action="store_true",
                    help="grid-search tau on the validation split after training")
     p.set_defaults(func=cmd_train)

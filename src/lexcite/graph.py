@@ -125,7 +125,8 @@ class HeteroGraph:
                 self.nodes_of_type[t].append(g)
 
         n = len(self.node_ids)
-        adj: dict[str, list[list[int]]] = {r: [[] for _ in range(n)] for r in RELATIONS}
+        src: dict[str, list[int]] = {r: [] for r in RELATIONS}
+        dst: dict[str, list[int]] = {r: [] for r in RELATIONS}
         for rel, pairs in edges.items():
             if rel not in RELATIONS:
                 raise GraphError(f"unknown relation {rel!r}")
@@ -134,14 +135,13 @@ class HeteroGraph:
                 step = (self.node_type[ui], rel, self.node_type[vi])
                 if step not in LEGAL_STEPS:
                     raise GraphError(f"illegal edge {u}-{rel}-{v} ({step[0]}-{rel}-{step[2]})")
-                adj[rel][ui].append(vi)
-        self._adj: dict[str, tuple[tuple[int, ...], ...]] = {
-            rel: tuple(tuple(sorted(nbrs)) for nbrs in lists) for rel, lists in adj.items()
-        }
-        self._adj_sets = {rel: tuple(frozenset(nbrs) for nbrs in lists)
-                          for rel, lists in self._adj.items()}
+                src[rel].append(ui)
+                dst[rel].append(vi)
+        # the graph's one edge structure: a CSR pair (indptr, indices) per
+        # relation, each row sorted
+        self._csr = {rel: _csr(n, src[rel], dst[rel]) for rel in RELATIONS}
         self._validate_symmetry()
-        self._viable_cache: dict[str, list[np.ndarray]] = {}
+        self._viable_cache: dict[str, tuple] = {}
         self._walk_cache: dict = {}
         self._walk_cache_seed: int | None = None
         self.recorder: list[str] | None = None
@@ -156,10 +156,15 @@ class HeteroGraph:
 
     def _validate_symmetry(self):
         for rel, inv in (("ct", "ctb"), ("inc", "po")):
-            fwd = {(u, v) for u, nbrs in enumerate(self._adj[rel]) for v in nbrs}
-            bwd = {(v, u) for u, nbrs in enumerate(self._adj[inv]) for v in nbrs}
-            if fwd != bwd:
+            u, v = (a.tolist() for a in self._edge_arrays(rel))
+            bu, bv = (a.tolist() for a in self._edge_arrays(inv))
+            if set(zip(u, v)) != set(zip(bv, bu)):
                 raise GraphError(f"edge sets {rel}/{inv} are not mutual reverses")
+
+    def _edge_arrays(self, relation: str) -> tuple[np.ndarray, np.ndarray]:
+        """(source, destination) index arrays in CSR order."""
+        indptr, indices = self._csr[relation]
+        return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr)), indices
 
     # -- queries ---------------------------------------------------------------
 
@@ -176,15 +181,8 @@ class HeteroGraph:
         g = self._require(node_id)
         if self.recorder is not None:
             self.recorder.append(node_id)
-        return tuple(self.node_ids[v] for v in self._adj[relation][g])
-
-    def _neighbors_idx(self, g: int, relation: str) -> tuple[int, ...]:
-        if self.recorder is not None:
-            self.recorder.append(self.node_ids[g])
-        return self._adj[relation][g]
-
-    def has_edge(self, u: str, v: str, relation: str) -> bool:
-        return self._require(v) in self._adj_sets[relation][self._require(u)]
+        indptr, indices = self._csr[relation]
+        return tuple(self.node_ids[v] for v in indices[indptr[g]:indptr[g + 1]].tolist())
 
     def n_nodes(self, node_type: str | None = None) -> int:
         if node_type is None:
@@ -192,7 +190,7 @@ class HeteroGraph:
         return len(self.nodes_of_type[node_type])
 
     def n_edges(self, relation: str) -> int:
-        return sum(len(nbrs) for nbrs in self._adj[relation])
+        return len(self._csr[relation][1])
 
     def type_ids(self, node_type: str) -> list[str]:
         return [self.node_ids[g] for g in self.nodes_of_type[node_type]]
@@ -205,58 +203,29 @@ class HeteroGraph:
 
     # -- metapath machinery ------------------------------------------------------
 
-    def conforms(self, instance: MetapathInstance, schema: MetapathSchema) -> bool:
-        """Type- and relation-check an instance against a schema."""
-        if len(instance.nodes) != schema.length + 1:
-            return False
-        walk = tuple(reversed(instance.nodes))  # target-first order
-        for node, want in zip(walk, schema.node_types):
-            if node not in self or self.phi(node) != want:
-                return False
-        for u, rel, v in zip(walk, schema.relations, walk[1:]):
-            if not self.has_edge(u, v, rel):
-                return False
-        return True
+    def _viable(self, schema: MetapathSchema):
+        """Walk tables for one schema, computed once and cached.
 
-    def enumerate_instances(self, v: str, schema: MetapathSchema) -> list[MetapathInstance]:
-        """Exhaustive depth-first expansion of every instance ending at v.
-
-        Exponential in schema length; intended as a test oracle and for
-        desk-scale graphs only.
+        Returns (start, steps). start[g] is True iff a walk can be completed
+        from node g. steps[j] is the CSR of relation j filtered to the edges
+        into nodes from which the rest of the walk can be completed, as
+        (indptr, indices) lists; each row keeps its sorted order.
         """
-        g = self._require(v)
-        if self.node_type[g] != schema.node_types[0]:
-            raise GraphError(
-                f"node {v!r} has type {self.node_type[g]}, schema starts at {schema.node_types[0]}")
-        walks = [[g]]
-        for rel in schema.relations:
-            walks = [w + [nbr] for w in walks for nbr in self._neighbors_idx(w[-1], rel)]
-        return [
-            MetapathInstance(nodes=tuple(self.node_ids[i] for i in reversed(w)),
-                             schema_id=schema.id)
-            for w in walks
-        ]
+        if schema.id not in self._viable_cache:
+            types = np.array(self.node_type)
+            viable = types == schema.node_types[-1]
+            steps = []
+            for j in range(schema.length - 1, -1, -1):
+                indptr, indices = self._csr[schema.relations[j]]
+                keep = viable[indices]
+                row_ptr = np.concatenate(([0], np.cumsum(keep)))[indptr]
+                viable = (types == schema.node_types[j]) & (np.diff(row_ptr) > 0)
+                steps.insert(0, (row_ptr.tolist(), indices[keep].tolist()))
+            self._viable_cache[schema.id] = (viable, steps)
+        return self._viable_cache[schema.id]
 
-    def _viable(self, schema: MetapathSchema) -> list[np.ndarray]:
-        """viable[j][g] is True iff the walk can be completed from node g at
-        walk position j.  Computed once per schema and cached."""
-        if schema.id in self._viable_cache:
-            return self._viable_cache[schema.id]
-        n = len(self.node_ids)
-        types = np.array(self.node_type)
-        viable = [np.zeros(n, dtype=bool) for _ in range(schema.length + 1)]
-        viable[-1] = types == schema.node_types[-1]
-        for j in range(schema.length - 1, -1, -1):
-            rel = schema.relations[j]
-            nxt = viable[j + 1]
-            here = viable[j]
-            for g in np.flatnonzero(types == schema.node_types[j]):
-                here[g] = any(nxt[nbr] for nbr in self._adj[rel][g])
-        self._viable_cache[schema.id] = viable
-        return viable
-
-    def sample_instances(self, v: str, schema: MetapathSchema, k: int, seed: int,
-                         exclude_target_revisit: bool = False) -> list[MetapathInstance]:
+    def sample_instances(self, v: str, schema: MetapathSchema, k: int,
+                         seed: int) -> list[MetapathInstance]:
         """Sample k instances with replacement via random typed walks.
 
         Each step picks uniformly among typed neighbours that can still
@@ -266,12 +235,12 @@ class HeteroGraph:
         independent of whatever else is being encoded.
         """
         g = self._require(v)
-        walks = self._sample_walks_idx(g, schema, k, seed, exclude_target_revisit)
+        walks = self._sample_walks_idx(g, schema, k, seed)
         return [MetapathInstance(nodes=tuple(self.node_ids[i] for i in w), schema_id=schema.id)
                 for w in walks]
 
-    def _sample_walks_idx(self, g: int, schema: MetapathSchema, k: int, seed: int,
-                          exclude_target_revisit: bool = False) -> list[tuple[int, ...]]:
+    def _sample_walks_idx(self, g: int, schema: MetapathSchema, k: int,
+                          seed: int) -> list[tuple[int, ...]]:
         """Integer fast path behind sample_instances; walks come back already
         reversed into neighbour-first instance order.
 
@@ -288,18 +257,15 @@ class HeteroGraph:
         if self._walk_cache_seed != seed:
             self._walk_cache_seed = seed
             self._walk_cache = {}
-        key = (g, schema.id, k, exclude_target_revisit)
+        key = (g, schema.id, k)
         out = self._walk_cache.get(key)
         if out is None:
-            viable = self._viable(schema)
+            start, steps = self._viable(schema)
             out = []
-            if viable[0][g]:
+            if start[g]:
                 rng = np.random.default_rng(
                     np.random.SeedSequence([seed & 0xFFFFFFFF, g, schema.seed_tag()]))
-                for _ in range(k):
-                    walk = self._draw_walk(g, schema, viable, rng, exclude_target_revisit)
-                    if walk is not None:
-                        out.append(tuple(reversed(walk)))
+                out = [tuple(reversed(self._draw_walk(g, steps, rng))) for _ in range(k)]
             self._walk_cache[key] = out
         if self.recorder is not None:
             # every node a walk passes through counts as a structure query
@@ -308,25 +274,14 @@ class HeteroGraph:
                 self.recorder.extend(self.node_ids[i] for i in walk)
         return out
 
-    def _draw_walk(self, g: int, schema: MetapathSchema, viable, rng,
-                   exclude_target_revisit: bool, max_retries: int = 50):
-        for _ in range(max_retries):
-            walk = [g]
-            ok = True
-            for j, rel in enumerate(schema.relations):
-                nxt = viable[j + 1]
-                cands = [nbr for nbr in self._adj[rel][walk[-1]] if nxt[nbr]]
-                if exclude_target_revisit and j < schema.length - 1:
-                    cands = [c for c in cands if c != g]
-                if not cands:
-                    ok = False
-                    break
-                walk.append(cands[int(rng.integers(len(cands)))])
-            if ok:
-                return walk
-            if not exclude_target_revisit:
-                raise GraphError("viability-filtered walk dead-ended (graph bug)")
-        return None
+    def _draw_walk(self, g: int, steps, rng) -> list[int]:
+        """One walk from g over the viability-filtered CSRs of `_viable`;
+        every row it reaches is non-empty, so each step is one draw."""
+        walk = [g]
+        for indptr, indices in steps:
+            lo, hi = indptr[walk[-1]], indptr[walk[-1] + 1]
+            walk.append(indices[lo + int(rng.integers(hi - lo))])
+        return walk
 
     # -- serialization -----------------------------------------------------------
 
@@ -335,8 +290,8 @@ class HeteroGraph:
             "format_version": GRAPH_FORMAT_VERSION,
             "nodes": {t: self.type_ids(t) for t in NODE_TYPES},
             "edges": {
-                rel: [[self.node_ids[u], self.node_ids[vv]]
-                      for u, nbrs in enumerate(self._adj[rel]) for vv in nbrs]
+                rel: [[self.node_ids[u], self.node_ids[v]]
+                      for u, v in zip(*(a.tolist() for a in self._edge_arrays(rel)))]
                 for rel in RELATIONS
             },
         }
@@ -354,6 +309,15 @@ class HeteroGraph:
     @classmethod
     def load(cls, path) -> "HeteroGraph":
         return cls.from_json(json.loads(Path(path).read_text(encoding="utf-8")))
+
+
+def _csr(n: int, src: list[int], dst: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, indices) of an n-node edge list, each row sorted."""
+    src_arr = np.array(src, dtype=np.int64)
+    dst_arr = np.array(dst, dtype=np.int64)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src_arr, minlength=n), out=indptr[1:])
+    return indptr, dst_arr[np.lexsort((dst_arr, src_arr))]
 
 
 def build_citation_graph(train_facts, hierarchy) -> HeteroGraph:

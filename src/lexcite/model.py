@@ -75,8 +75,7 @@ class Model:
     def forward(self, graph: HeteroGraph, fact_grids: np.ndarray, fact_masks: np.ndarray,
                 section_grids: np.ndarray, section_masks: np.ndarray, k: int, sample_seed: int,
                 fact_ids: list[str] | None = None, training: bool = False,
-                dropout_rng: np.random.Generator | None = None,
-                exclude_self_edges: bool = False) -> ScoreTriple:
+                dropout_rng: np.random.Generator | None = None) -> ScoreTriple:
         """Score a batch of facts against every section.
 
         `fact_ids` enables the fact-side structural branch and must only be
@@ -95,8 +94,7 @@ class Model:
             if not training:
                 raise ValueError("fact-side structural embeddings are training-only")
             h_f_struct = self.struct_encoder.encode(graph, fact_ids, k, sample_seed,
-                                                    attr_embeddings=h_f_attr,
-                                                    exclude_target_revisit=exclude_self_edges)
+                                                    attr_embeddings=h_f_attr)
         return self.scorer.score_triple(h_f_attr, h_s_attr, h_s_struct, h_f_struct)
 
     # -- inference ----------------------------------------------------------------

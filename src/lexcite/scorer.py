@@ -26,9 +26,6 @@ class ScoreTriple:
     alignment: Tensor
     structural: Tensor | None = None
 
-    def combined(self, lambda_a: float, lambda_l: float) -> np.ndarray:
-        return lambda_a * self.attribute.data + lambda_l * self.alignment.data
-
 
 class MatchScorer:
     def __init__(self, rng: np.random.Generator, n_sections: int, d_prime: int, d_s: int,
@@ -106,13 +103,6 @@ class MatchScorer:
             return ad.matmul(h_f, self.att_ctx)
         return self.att_ctx
 
-    def match(self, h_f: Tensor, section_set: Tensor, context: Tensor) -> Tensor:
-        """Full scoring chain for one (fact batch, section set) pairing."""
-        ctx_sections = self.contextualize_sections(
-            ad.reshape(section_set, (1,) + section_set.shape))[0]
-        pooled, _ = self.pool_sections(ctx_sections, context)
-        return self.score(h_f, pooled)
-
     def score_triple(self, h_f_attr: Tensor, h_s_attr: Tensor, h_s_struct: Tensor,
                      h_f_struct: Tensor | None = None) -> ScoreTriple:
         """Attribute, alignment and (training only) structural scores.
@@ -136,12 +126,3 @@ class MatchScorer:
             pooled_for_struct, _ = self.pool_sections(contextualized[1], struct_context)
             triple.structural = self.score(h_f_struct, pooled_for_struct)
         return triple
-
-
-def dynamic_contexts(h_attr: Tensor, t_p: dict[str, Tensor], t_a: Tensor, t_s: Tensor):
-    """Generate the three dynamic context families from attribute embeddings:
-    per-schema intra contexts, the inter context and the pooling context."""
-    a_p = {sid: ad.matmul(h_attr, tp) for sid, tp in t_p.items()}
-    q_a = ad.matmul(h_attr, t_a)
-    w_s = ad.matmul(h_attr, t_s)
-    return a_p, q_a, w_s

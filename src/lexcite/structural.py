@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from . import nn
 from .autodiff import Parameter, Tensor
-from .graph import NODE_TYPES, RELATIONS, HeteroGraph, MetapathInstance, MetapathSchema
+from .graph import NODE_TYPES, RELATIONS, HeteroGraph, MetapathSchema
 
 LEAKY_SLOPE = 0.01
 
@@ -80,19 +80,10 @@ class MetapathEncoder:
         t = graph.node_type[g]
         return self.feature_table(t)[graph.type_index[g]]
 
-    def encode_node(self, graph: HeteroGraph, v: str, k: int, seed: int,
-                    attr_embedding: Tensor | None = None) -> Tensor:
-        """Single-node convenience over encode(); batch scope is just v."""
-        attr = None
-        if attr_embedding is not None:
-            attr = ad.reshape(attr_embedding, (1, self.d_prime))
-        return self.encode(graph, [v], k, seed, attr_embeddings=attr)[0]
-
     # -- batched encoding ---------------------------------------------------------
 
     def encode(self, graph: HeteroGraph, node_ids: list[str], k: int, seed: int,
-               attr_embeddings: Tensor | None = None, return_weights: bool = False,
-               exclude_target_revisit: bool = False):
+               attr_embeddings: Tensor | None = None, return_weights: bool = False):
         """Encode nodes of one type into (n, d') structural embeddings."""
         if not node_ids:
             raise ValueError("empty node batch")
@@ -112,8 +103,7 @@ class MetapathEncoder:
         per_schema: list[Tensor] = []
         weights: dict[str, np.ndarray] = {}
         for schema in schemas:
-            walks = [graph._sample_walks_idx(int(g), schema, k, seed, exclude_target_revisit)
-                     for g in gidx]
+            walks = [graph._sample_walks_idx(int(g), schema, k, seed) for g in gidx]
             with_idx = np.array([i for i, w in enumerate(walks) if w], dtype=int)
             if len(with_idx) == 0:
                 per_schema.append(Tensor(np.zeros((n, self.d_prime))))
@@ -186,8 +176,7 @@ class LookupEncoder:
         return {f"lookup.{t}": p for t, p in self.tables.items()}
 
     def encode(self, graph: HeteroGraph, node_ids: list[str], k: int = 0, seed: int = 0,
-               attr_embeddings: Tensor | None = None, return_weights: bool = False,
-               exclude_target_revisit: bool = False):
+               attr_embeddings: Tensor | None = None, return_weights: bool = False):
         gidx = [graph.global_index(v) for v in node_ids]
         node_type = graph.node_type[gidx[0]]
         local = np.array([graph.type_index[g] for g in gidx])
@@ -195,44 +184,3 @@ class LookupEncoder:
         if return_weights:
             return out, {}
         return out
-
-
-# -- single-node reference operations (the batched encoder must agree) --------
-
-
-def encode_instance(instance: MetapathInstance, features: dict[str, Tensor],
-                    relation_vectors: dict[str, Tensor], schema: MetapathSchema) -> Tensor:
-    """Relational rotation over one instance: q_i = h_i + q_{i-1} * r_i,
-    output q_M / (M + 1)."""
-    nodes = instance.nodes
-    q = features[nodes[0]]
-    for i in range(1, len(nodes)):
-        r = relation_vectors[schema.relations[i - 1]]
-        q = ad.add(features[nodes[i]], ad.mul(q, r))
-    return ad.mul(q, 1.0 / len(nodes))
-
-
-def intra_aggregate(instance_encodings: list[Tensor], h_v: Tensor, a_p: Tensor,
-                    slope: float = LEAKY_SLOPE):
-    """Attention-pool instance encodings for one node; empty -> zero vector."""
-    d = h_v.shape[0]
-    if not instance_encodings:
-        return Tensor(np.zeros(d)), np.zeros(0)
-    stacked = ad.stack(instance_encodings, axis=0)
-    scores = ad.add(ad.tsum(ad.mul(a_p[:d], h_v)),
-                    ad.tsum(ad.mul(a_p[d:], stacked), axis=1))
-    alpha = ad.softmax(ad.leaky_relu(scores, slope), axis=0)
-    pooled = ad.relu(ad.tsum(ad.mul(ad.reshape(alpha, (len(instance_encodings), 1)), stacked), axis=0))
-    return pooled, alpha.data
-
-
-def inter_aggregate(per_schema: list[Tensor], m: Tensor, b: Tensor, q: Tensor):
-    """Combine one node's per-schema vectors; q may be static (d_m,) or a
-    per-node dynamic context of the same shape."""
-    summaries = [ad.tanh(ad.add(ad.matmul(ad.reshape(h, (1, h.shape[0])), m), b)) for h in per_schema]
-    scores = ad.stack([ad.tsum(ad.mul(q, ad.reshape(s, (s.shape[1],)))) for s in summaries])
-    beta = ad.softmax(scores, axis=0)
-    out = Tensor(np.zeros(per_schema[0].shape[0]))
-    for j, h in enumerate(per_schema):
-        out = ad.add(out, ad.mul(beta[j], h))
-    return out, beta.data

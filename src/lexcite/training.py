@@ -46,7 +46,6 @@ class TrainingConfig:
     epochs: int = 100
     seed: int = 0
     k_instances: int = 8
-    exclude_self_edges: bool = False
     # architecture
     embed_dim: int = 200
     d_prime: int = 200
@@ -270,7 +269,7 @@ def train_model(model: Model, graph: HeteroGraph, train_docs: list[FactDocument]
             triple = model.forward(
                 graph, grids[batch], masks[batch], sec_grids, sec_masks,
                 config.k_instances, sample_seed, fact_ids=fact_ids, training=True,
-                dropout_rng=dropout_rng, exclude_self_edges=config.exclude_self_edges)
+                dropout_rng=dropout_rng)
             y = targets[batch]
             loss_a = weighted_bce(triple.attribute, y, weights)
             loss_l = weighted_bce(triple.alignment, y, weights)

@@ -1,13 +1,16 @@
 """Independent scalar-loop reference implementations.
 
-Everything here is written with plain Python loops over floats, deliberately
-avoiding the vectorized code paths under test. These are the oracles the
+Everything here is written with plain Python loops over floats (and, for the
+graph, over the public neighbour queries), deliberately avoiding the
+vectorized code paths under test. These are the oracles the
 test suite compares against.
 """
 
 from __future__ import annotations
 
 import math
+
+from lexcite.graph import MetapathInstance
 
 
 def softmax_scalar(scores, mask=None):
@@ -191,21 +194,46 @@ def jaccard_scalar(preds, golds):
     return 100.0 * sum(vals) / len(vals)
 
 
+# -- graph oracles, written over the public node/neighbour API ------------------
+
+
+def has_edge(graph, u, v, relation):
+    return v in graph.neighbors(u, relation)
+
+
+def conforms(graph, instance, schema):
+    """Type- and relation-check an instance (target-last) against a schema."""
+    if len(instance.nodes) != schema.length + 1:
+        return False
+    walk = tuple(reversed(instance.nodes))  # target-first order
+    for node, want in zip(walk, schema.node_types):
+        if node not in graph or graph.phi(node) != want:
+            return False
+    return all(has_edge(graph, u, v, rel)
+               for u, rel, v in zip(walk, schema.relations, walk[1:]))
+
+
+def enumerate_instances(graph, v, schema):
+    """Every instance of `schema` ending at v, by exhaustive depth-first
+    expansion; exponential in schema length, so desk-scale graphs only."""
+    walks = [[v]] if graph.phi(v) == schema.node_types[0] else []
+    for rel in schema.relations:
+        walks = [w + [nbr] for w in walks for nbr in graph.neighbors(w[-1], rel)]
+    return [MetapathInstance(nodes=tuple(reversed(w)), schema_id=schema.id) for w in walks]
+
+
 def typed_walk_counts(graph, schema):
-    """Count conforming walks from every start node by multiplying relation
-    adjacency matrices (independent of the DFS enumeration)."""
-    n = graph.n_nodes()
-    counts = [[1 if graph.node_type[g] == schema.node_types[-1] else 0 for g in range(n)]]
-    # runs backwards: counts[j][g] = number of completions from g at position j
-    vec = counts[0]
+    """Count conforming walks from every start node, position by position
+    from the far end (independent of the depth-first enumeration). Returns a
+    list indexed like graph.node_ids."""
+    ids = graph.node_ids
+    counts = {u: 1 if graph.phi(u) == schema.node_types[-1] else 0 for u in ids}
+    # after step j, counts[u] = number of completions from u at position j
     for j in range(schema.length - 1, -1, -1):
         rel = schema.relations[j]
-        new = [0] * n
-        for g in range(n):
-            if graph.node_type[g] == schema.node_types[j]:
-                new[g] = sum(vec[nbr] for nbr in graph._adj[rel][g])
-        vec = new
-    return vec
+        counts = {u: sum(counts[nbr] for nbr in graph.neighbors(u, rel))
+                  if graph.phi(u) == schema.node_types[j] else 0 for u in ids}
+    return [counts[u] for u in ids]
 
 
 def fd_gradients(loss_fn, params, h=1e-6):

@@ -22,17 +22,18 @@ from lexcite.metrics import macro_prf, mean_jaccard
 from lexcite.model import Model, encode_sections
 from lexcite.scorer import MatchScorer
 from lexcite.split import SplitSpec, iterative_stratified_split
-from lexcite.structural import MetapathEncoder, encode_instance, inter_aggregate, intra_aggregate
 from lexcite.synth import synth_corpus, write_synth
 from lexcite.training import (Predictor, TrainingConfig, citation_frequencies, class_weights,
                               class_weights_tws, class_weights_vws, combined_loss,
                               predict_corpus, train_model, tune_threshold, weighted_bce)
 
 from conftest import make_fact
-from oracles import (fd_gradients, inter_aggregate_scalar, intra_aggregate_scalar,
-                     jaccard_scalar, macro_prf_scalar, max_rel_error, rotation_encode_scalar,
+from oracles import (conforms, enumerate_instances, fd_gradients, inter_aggregate_scalar,
+                     intra_aggregate_scalar, jaccard_scalar, macro_prf_scalar, max_rel_error,
                      softmax_scalar, tws_scalar, vws_scalar, weighted_bce_scalar)
 from test_graph import random_graph
+from test_structural import (encode_one, feature, randomize, rotation_oracle,
+                             single_schema_encoder)
 
 
 def report(criterion: str, detail: str):
@@ -144,13 +145,13 @@ def test_criterion_2_oracle_equivalence():
         for schema in schemas:
             for v in g.type_ids(schema.node_types[0]):
                 sampled = g.sample_instances(v, schema, k=4, seed=trial)
-                enumerated = g.enumerate_instances(v, schema)
+                enumerated = enumerate_instances(g, v, schema)
                 if not sampled:
                     assert enumerated == []
                     continue
                 members = {i.nodes for i in enumerated}
                 for inst in sampled:
-                    assert g.conforms(inst, schema), (schema.id, inst.nodes)
+                    assert conforms(g, inst, schema), (schema.id, inst.nodes)
                     assert inst.nodes in members, (schema.id, inst.nodes)
                     n_checked += 1
     report("2 (oracle equivalence)",
@@ -196,42 +197,57 @@ def test_criterion_3_formula_oracles():
         npt.assert_allclose(got, cfg.theta_a * a + cfg.theta_s * s + cfg.theta_l * l, atol=1e-9)
     checks["combined_loss"] = 100
 
-    from lexcite.graph import MetapathInstance
-    schema = default_schemas()[2]  # S-po-T-po-C-inc-T-inc-S, length 4
-    for _ in range(100):
-        d = int(rng.integers(2, 6))
-        nodes = tuple(f"n{i}" for i in range(schema.length + 1))
-        feats = {n: Tensor(rng.normal(size=d)) for n in nodes}
-        rels = {r: Tensor(rng.normal(size=d)) for r in ("ct", "ctb", "inc", "po")}
-        inst = MetapathInstance(nodes=nodes, schema_id=schema.id)
-        got = encode_instance(inst, feats, rels, schema).data
-        want = rotation_encode_scalar([feats[n].data.tolist() for n in nodes],
-                                      [rels[r].data.tolist() for r in schema.relations])
-        npt.assert_allclose(got, want, atol=1e-9)
+    # The structural formulas are checked through the production encoder. A
+    # one-schema encoder (single_schema_encoder) returns relu of the pooled
+    # instance encodings; with k=1 that is relu(q_M / (M + 1)), and negating
+    # every feature negates q_M, which exposes the other half.
+    g = random_graph(np.random.default_rng(7))
+    sections = [v for v in g.type_ids("S") if g.neighbors(v, "ctb")]
+    schemas = [s for s in default_schemas() if s.side == "section"]
+    schema = schemas[2]  # S-po-T-po-C-inc-T-inc-S, length 4
+    for i in range(100):
+        enc = single_schema_encoder(g, schema, d=int(rng.integers(2, 6)), seed=i)
+        randomize(enc, rng)
+        v = sections[i % len(sections)]
+        inst = g.sample_instances(v, schema, k=1, seed=i)[0]
+        want = np.array(rotation_oracle(enc, g, schema, inst))
+        got, _ = encode_one(enc, g, v, k=1, seed=i)
+        npt.assert_allclose(got, np.maximum(want, 0.0), atol=1e-9)
+        for t in enc.node_embed:
+            enc.node_embed[t].data = -enc.node_embed[t].data
+        got, _ = encode_one(enc, g, v, k=1, seed=i)
+        npt.assert_allclose(got, np.maximum(-want, 0.0), atol=1e-9)
     checks["relational_rotation"] = 100
 
-    # attention softmaxes: intra alpha, inter beta, pooling gamma
-    for _ in range(100):
+    # attention softmaxes: intra alpha (MetapathEncoder.encode with
+    # return_weights), inter beta (MetapathEncoder._inter_aggregate), pooling gamma
+    for i in range(100):
         d = int(rng.integers(2, 5))
-        encs = [Tensor(rng.normal(size=d)) for _ in range(int(rng.integers(1, 6)))]
-        h_v = Tensor(rng.normal(size=d))
-        a_p = Tensor(rng.normal(size=2 * d))
-        _, alpha = intra_aggregate(encs, h_v, a_p)
-        _, exp_alpha = intra_aggregate_scalar(h_v.data.tolist(),
-                                              [e.data.tolist() for e in encs],
-                                              a_p.data.tolist())
+        schema = schemas[int(rng.integers(len(schemas)))]
+        v = sections[int(rng.integers(len(sections)))]
+        k = int(rng.integers(1, 6))
+        enc = single_schema_encoder(g, schema, d=d, seed=i)
+        randomize(enc, rng)
+        enc.schema_ctx[schema.id].data = rng.normal(size=2 * d)
+        insts = g.sample_instances(v, schema, k=k, seed=i)
+        _, alpha = encode_one(enc, g, v, k=k, seed=i)
+        _, exp_alpha = intra_aggregate_scalar(feature(enc, g, v).tolist(),
+                                              [rotation_oracle(enc, g, schema, inst)
+                                               for inst in insts],
+                                              enc.schema_ctx[schema.id].data.tolist())
         npt.assert_allclose(alpha, exp_alpha, atol=1e-9)
 
         n_schemas = int(rng.integers(1, 5))
-        per = [Tensor(rng.normal(size=d)) for _ in range(n_schemas)]
-        m = Tensor(rng.normal(size=(d, d)))
-        b = Tensor(rng.normal(size=d))
-        q = Tensor(rng.normal(size=d))
-        _, beta = inter_aggregate(per, m, b, q)
-        _, exp_betas = inter_aggregate_scalar([[p.data.tolist()] for p in per],
-                                              m.data.T.tolist(), b.data.tolist(),
-                                              q.data.tolist())
-        npt.assert_allclose(beta, exp_betas[0], atol=1e-9)
+        per = [Tensor(rng.normal(size=(1, d))) for _ in range(n_schemas)]
+        enc.summary_m["S"].data = rng.normal(size=(d, d))
+        enc.summary_b["S"].data = rng.normal(size=d)
+        enc.side_ctx["S"].data = rng.normal(size=d)
+        _, beta = enc._inter_aggregate(per, "S", None)
+        _, exp_betas = inter_aggregate_scalar([p.data.tolist() for p in per],
+                                              enc.summary_m["S"].data.T.tolist(),
+                                              enc.summary_b["S"].data.tolist(),
+                                              enc.side_ctx["S"].data.tolist())
+        npt.assert_allclose(beta[0], exp_betas[0], atol=1e-9)
 
         scores = rng.normal(size=int(rng.integers(1, 9)))
         got = ad.softmax(Tensor(scores), axis=0).data

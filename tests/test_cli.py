@@ -182,3 +182,93 @@ def test_tau_flag_overrides_checkpoint_config(pipeline, tmp_path):
     assert echo["tau"] == 0.05
     n_predicted = sum(len(r["predicted"]) for r in lo)
     assert n_predicted >= len(lo)  # low threshold predicts liberally
+
+
+def _run_args(pipeline, checkpoint, facts="test.jsonl"):
+    return ["--checkpoint", str(checkpoint),
+            "--graph", str(pipeline / "graph" / "graph.json"),
+            "--hierarchy", str(pipeline / "data" / "hierarchy.json"),
+            "--facts", str(pipeline / "splits" / facts)]
+
+
+def _read_checkpoint_meta(path):
+    with np.load(path) as blob:
+        return json.loads(bytes(blob["__meta__"]).decode())
+
+
+def _rewrite_checkpoint_meta(src, dst, edit):
+    with np.load(src) as blob:
+        arrays = {k: blob[k] for k in blob.files}
+    meta = json.loads(bytes(arrays["__meta__"]).decode())
+    edit(meta)
+    arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez_compressed(dst, **arrays)
+
+
+@pytest.fixture(scope="module")
+def tuned_run(pipeline):
+    out = pipeline / "tuned"
+    assert main(["train", "--facts", str(pipeline / "splits" / "train.jsonl"),
+                 "--val-facts", str(pipeline / "splits" / "validation.jsonl"),
+                 "--hierarchy", str(pipeline / "data" / "hierarchy.json"),
+                 "--graph", str(pipeline / "graph" / "graph.json"),
+                 "--config", str(pipeline / "config.json"), "--seed", "0",
+                 "--tune-threshold", "--out-dir", str(out)]) == 0
+    return out / "checkpoint.npz"
+
+
+def test_predict_defaults_to_tuned_tau(pipeline, tuned_run, tmp_path):
+    tuned = _read_checkpoint_meta(tuned_run)["extra"]["tuned_tau"]
+    out = tmp_path / "pred"
+    assert main(["predict", *_run_args(pipeline, tuned_run), "--out-dir", str(out)]) == 0
+    echo = json.loads((out / "effective_config.json").read_text())
+    assert echo["tau"] == tuned and echo["tau_source"] == "checkpoint"
+    # scores are written rounded to 6 decimals; allow that much at the boundary
+    for line in (out / "predictions.jsonl").read_text().splitlines():
+        rec = json.loads(line)
+        must = {s for s, v in rec["scores"].items() if v >= tuned + 5e-7}
+        may = {s for s, v in rec["scores"].items() if v >= tuned - 5e-7}
+        assert must <= set(rec["predicted"]) <= may, rec["id"]
+
+
+def test_tau_source_flag_and_config(pipeline, tuned_run, tmp_path):
+    assert main(["evaluate", *_run_args(pipeline, tuned_run), "--tau", "0.3",
+                 "--out-dir", str(tmp_path / "flag")]) == 0
+    echo = json.loads((tmp_path / "flag" / "effective_config.json").read_text())
+    assert (echo["tau"], echo["tau_source"]) == (0.3, "flag")
+    # trained without --tune-threshold: the checkpoint has no tuned tau
+    untuned = pipeline / "run" / "checkpoint.npz"
+    assert _read_checkpoint_meta(untuned)["extra"]["tuned_tau"] is None
+    assert main(["evaluate", *_run_args(pipeline, untuned),
+                 "--out-dir", str(tmp_path / "config")]) == 0
+    echo = json.loads((tmp_path / "config" / "effective_config.json").read_text())
+    assert (echo["tau"], echo["tau_source"]) == (0.65, "config")
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_checkpoint_with_retired_config_key_still_loads(pipeline, tmp_path, value):
+    # checkpoints written while the exclude_self_edges option existed carry it
+    old = tmp_path / "old.npz"
+    _rewrite_checkpoint_meta(pipeline / "run" / "checkpoint.npz", old,
+                             lambda meta: meta["train_config"].update(exclude_self_edges=value))
+    for name, ckpt in (("old", old), ("new", pipeline / "run" / "checkpoint.npz")):
+        assert main(["predict", *_run_args(pipeline, ckpt), "--out-dir",
+                     str(tmp_path / name)]) == 0
+        assert main(["evaluate", *_run_args(pipeline, ckpt), "--out-dir",
+                     str(tmp_path / f"{name}_eval")]) == 0
+    assert (tmp_path / "old" / "predictions.jsonl").read_text() == \
+        (tmp_path / "new" / "predictions.jsonl").read_text()
+    echo = json.loads((tmp_path / "old" / "effective_config.json").read_text())
+    assert "exclude_self_edges" not in echo
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_config_file_with_retired_key_rejected(pipeline, tmp_path, value):
+    cfg_path = tmp_path / "old.json"
+    cfg_path.write_text(json.dumps({**CONFIG, "exclude_self_edges": value}))
+    with pytest.raises(SystemExit, match=r"unknown config keys \['exclude_self_edges'\]"):
+        main(["train", "--facts", str(pipeline / "splits" / "train.jsonl"),
+              "--val-facts", str(pipeline / "splits" / "validation.jsonl"),
+              "--hierarchy", str(pipeline / "data" / "hierarchy.json"),
+              "--graph", str(pipeline / "graph" / "graph.json"),
+              "--config", str(cfg_path), "--out-dir", str(tmp_path / "run")])

@@ -4,7 +4,7 @@ import pytest
 
 from lexcite import autodiff as ad
 from lexcite.autodiff import Parameter, Tensor, no_grad
-from lexcite.scorer import MatchScorer, dynamic_contexts
+from lexcite.scorer import MatchScorer
 
 from oracles import (attention_pool_scalar, fd_gradients, lstm_scalar, matvec_scalar,
                      max_rel_error)
@@ -135,33 +135,33 @@ class TestScore:
 
 
 class TestDynamicContext:
+    """The pooling context the model derives from fact embeddings
+    (MatchScorer.fact_context); the structural side's per-schema and
+    inter-schema contexts are checked in test_structural's dynamic
+    composition test."""
+
     def test_identity_blocks_tile_embedding(self, rng):
         d = 3
+        sc = scorer(rng, d=d, dynamic=True)
+        sc.att_ctx.data = np.eye(d)
         h = Tensor(rng.normal(size=(2, d)))
-        t_p = {"sch": Tensor(np.hstack([np.eye(d), np.eye(d)]))}
-        t_a = Tensor(np.eye(d))
-        t_s = Tensor(np.eye(d))
-        a_p, q_a, w_s = dynamic_contexts(h, t_p, t_a, t_s)
-        npt.assert_allclose(a_p["sch"].data, np.hstack([h.data, h.data]))
-        npt.assert_allclose(q_a.data, h.data)
-        npt.assert_allclose(w_s.data, h.data)
+        with no_grad():
+            npt.assert_allclose(sc.fact_context(h).data, h.data)
+        static = scorer(rng, d=d, dynamic=False)
+        assert static.fact_context(h) is static.att_ctx
 
     def test_zero_embedding_gives_zero_contexts(self, rng):
-        d = 3
-        h = Tensor(np.zeros((2, d)))
-        t_p = {"sch": Tensor(rng.normal(size=(d, 2 * d)))}
-        a_p, q_a, w_s = dynamic_contexts(h, t_p, Tensor(rng.normal(size=(d, d))),
-                                         Tensor(rng.normal(size=(d, d))))
-        npt.assert_allclose(a_p["sch"].data, 0.0)
-        npt.assert_allclose(q_a.data, 0.0)
-        npt.assert_allclose(w_s.data, 0.0)
+        sc = scorer(rng, d=3, dynamic=True)
+        with no_grad():
+            npt.assert_allclose(sc.fact_context(Tensor(np.zeros((2, 3)))).data, 0.0)
 
     def test_matches_scalar_matvec(self, rng):
         d = 3
+        sc = scorer(rng, d=d, dynamic=True)
         h = rng.normal(size=(1, d))
-        t_s = rng.normal(size=(d, d))
-        _, _, w_s = dynamic_contexts(Tensor(h), {}, Tensor(np.eye(d)), Tensor(t_s))
-        npt.assert_allclose(w_s.data[0], matvec_scalar(t_s.T.tolist(), h[0].tolist()),
+        with no_grad():
+            got = sc.fact_context(Tensor(h)).data[0]
+        npt.assert_allclose(got, matvec_scalar(sc.att_ctx.data.T.tolist(), h[0].tolist()),
                             atol=1e-12)
 
 

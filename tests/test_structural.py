@@ -4,9 +4,8 @@ import pytest
 
 from lexcite import autodiff as ad
 from lexcite.autodiff import Parameter, Tensor, no_grad
-from lexcite.graph import UnknownNodeError, default_schemas
-from lexcite.structural import (LookupEncoder, MetapathEncoder, encode_instance,
-                                inter_aggregate, intra_aggregate)
+from lexcite.graph import NODE_TYPES, UnknownNodeError, build_citation_graph, default_schemas
+from lexcite.structural import LookupEncoder, MetapathEncoder
 
 from conftest import make_fact, make_hierarchy
 from oracles import (fd_gradients, inter_aggregate_scalar, intra_aggregate_scalar,
@@ -17,6 +16,50 @@ from test_graph import minimal_graph, paper_figure_graph, schema_by_id
 def make_encoder(rng, graph, d=4, dynamic=False):
     return MetapathEncoder(rng, graph, default_schemas(), d_node=d, d_prime=d, d_m=d,
                            dynamic_context=dynamic)
+
+
+def single_schema_encoder(graph, schema, d, seed=0):
+    """A static-context encoder over one schema with identity projections.
+
+    A node's feature is then its embedding row, and with one schema the inter
+    weight is exactly 1, so encode() returns that schema's pooled vector
+    relu(sum_i alpha_i q_i) and return_weights exposes the intra alpha.
+    """
+    enc = MetapathEncoder(np.random.default_rng(seed), graph, [schema], d_node=d, d_prime=d,
+                          d_m=d, dynamic_context=False)
+    for t in NODE_TYPES:
+        enc.node_proj[t].data = np.eye(d)
+    return enc
+
+
+def randomize(enc, rng, low=None):
+    """Fresh node embeddings and relation vectors: normal, or uniform in
+    [low, 1] when `low` is given."""
+    def draw(shape):
+        return rng.normal(size=shape) if low is None else rng.uniform(low, 1.0, size=shape)
+
+    for t in NODE_TYPES:
+        enc.node_embed[t].data = draw(enc.node_embed[t].data.shape)
+    enc.relation_vecs.data = draw(enc.relation_vecs.data.shape)
+
+
+def feature(enc, graph, node):
+    gi = graph.global_index(node)
+    t = graph.node_type[gi]
+    return (enc.node_embed[t].data @ enc.node_proj[t].data)[graph.type_index[gi]]
+
+
+def rotation_oracle(enc, graph, schema, inst):
+    rels = [enc.relation_vecs.data[enc.rel_index[r]].tolist() for r in schema.relations]
+    return rotation_encode_scalar([feature(enc, graph, n).tolist() for n in inst.nodes], rels)
+
+
+def encode_one(enc, graph, v, k, seed):
+    """(pooled vector, alpha row) of one node under a single-schema encoder."""
+    with no_grad():
+        out, weights = enc.encode(graph, [v], k=k, seed=seed, return_weights=True)
+    (sid,) = enc.schemas
+    return out.data[0], weights[f"alpha.{sid}"][0]
 
 
 class TestNodeFeature:
@@ -53,106 +96,126 @@ class TestNodeFeature:
 
 
 class TestEncodeInstance:
-    def test_ones_relations_reduce_to_prefix_sums(self):
-        # q_1 = [1,1], q_2 = [2,2], output [2/3, 2/3]
-        from lexcite.graph import MetapathInstance
+    def test_ones_relations_reduce_to_prefix_sums(self, rng):
+        # with r = 1 the recurrence is a running sum: q_M = h_0 + h_1 + h_2
         schema = schema_by_id("S-ctb-F-ct-S")
-        inst = MetapathInstance(nodes=("S3", "F3", "S1"), schema_id=schema.id)
-        feats = {"S3": Tensor(np.array([1.0, 0.0])),
-                 "F3": Tensor(np.array([0.0, 1.0])),
-                 "S1": Tensor(np.array([1.0, 1.0]))}
-        rels = {r: Tensor(np.ones(2)) for r in ("ct", "ctb", "inc", "po")}
-        out = encode_instance(inst, feats, rels, schema)
-        npt.assert_allclose(out.data, [2 / 3, 2 / 3])
+        g = paper_figure_graph()
+        enc = single_schema_encoder(g, schema, d=2)
+        randomize(enc, rng, low=0.1)  # positive, so the ReLU is the identity
+        enc.relation_vecs.data[:] = 1.0
+        inst = g.sample_instances("S1", schema, k=1, seed=0)[0]
+        out, _ = encode_one(enc, g, "S1", k=1, seed=0)
+        npt.assert_allclose(out, sum(feature(enc, g, n) for n in inst.nodes) / 3)
 
     def test_zero_relations_leave_target_only(self, rng):
         schema = schema_by_id("S-ctb-F-ct-S")
         g = minimal_graph()
-        inst = g.sample_instances("S1", schema, k=1, seed=0)[0]
-        h_v = rng.normal(size=3)
-        feats = {n: Tensor(rng.normal(size=3)) for n in inst.nodes[:-1]}
-        feats[inst.nodes[-1]] = Tensor(h_v)
-        rels = {r: Tensor(np.zeros(3)) for r in ("ct", "ctb", "inc", "po")}
-        out = encode_instance(inst, feats, rels, schema)
-        npt.assert_allclose(out.data, h_v / 3)
+        enc = single_schema_encoder(g, schema, d=3)
+        randomize(enc, rng, low=0.1)
+        enc.relation_vecs.data[:] = 0.0
+        out, _ = encode_one(enc, g, "S1", k=1, seed=0)
+        npt.assert_allclose(out, feature(enc, g, "S1") / 3)
 
     def test_matches_scalar_recurrence_on_length_five(self, rng):
         schema = schema_by_id("S-po-T-po-C-inc-T-inc-S")  # 5 nodes
         h = make_hierarchy({"T1": ["S1", "S2"], "T2": ["S3"]}, chapters={"C1": ["T1", "T2"]})
-        from lexcite.graph import build_citation_graph
         g = build_citation_graph([make_fact("F1", {"S1"})], h)
+        enc = single_schema_encoder(g, schema, d=3)
+        randomize(enc, rng)
         inst = g.sample_instances("S1", schema, k=1, seed=1)[0]
-        feats = {n: Tensor(rng.normal(size=3)) for n in inst.nodes}
-        rels = {r: Tensor(rng.normal(size=3)) for r in ("ct", "ctb", "inc", "po")}
-        out = encode_instance(inst, feats, rels, schema)
-        expected = rotation_encode_scalar(
-            [feats[n].data.tolist() for n in inst.nodes],
-            [rels[r].data.tolist() for r in schema.relations])
-        npt.assert_allclose(out.data, expected, atol=1e-12)
+        expected = np.array(rotation_oracle(enc, g, schema, inst))
+        out, _ = encode_one(enc, g, "S1", k=1, seed=1)
+        npt.assert_allclose(out, np.maximum(expected, 0.0), atol=1e-12)
+        # the ReLU hides negative components: negated features negate q_M
+        for t in NODE_TYPES:
+            enc.node_embed[t].data = -enc.node_embed[t].data
+        out, _ = encode_one(enc, g, "S1", k=1, seed=1)
+        npt.assert_allclose(out, np.maximum(-expected, 0.0), atol=1e-12)
 
 
 class TestIntraAggregate:
     def test_identical_encodings_split_weight(self, rng):
-        enc = Tensor(rng.normal(size=4))
-        out, alpha = intra_aggregate([enc, enc], Tensor(rng.normal(size=4)),
-                                     Tensor(rng.normal(size=8)))
+        # S1-F1-S1 is the only instance, so k=2 draws it twice
+        schema = schema_by_id("S-ctb-F-ct-S")
+        g = minimal_graph()
+        enc = single_schema_encoder(g, schema, d=4)
+        randomize(enc, rng)
+        inst = g.sample_instances("S1", schema, k=1, seed=0)[0]
+        out, alpha = encode_one(enc, g, "S1", k=2, seed=0)
         npt.assert_allclose(alpha, [0.5, 0.5])
-        npt.assert_allclose(out.data, np.maximum(enc.data, 0.0))
+        npt.assert_allclose(out, np.maximum(rotation_oracle(enc, g, schema, inst), 0.0))
 
     def test_singleton(self, rng):
-        enc = Tensor(rng.normal(size=4))
-        out, alpha = intra_aggregate([enc], Tensor(rng.normal(size=4)),
-                                     Tensor(rng.normal(size=8)))
+        schema = schema_by_id("S-ctb-F-ct-S")
+        g = paper_figure_graph()
+        enc = single_schema_encoder(g, schema, d=4)
+        randomize(enc, rng)
+        inst = g.sample_instances("S1", schema, k=1, seed=4)[0]
+        out, alpha = encode_one(enc, g, "S1", k=1, seed=4)
         npt.assert_allclose(alpha, [1.0])
-        npt.assert_allclose(out.data, np.maximum(enc.data, 0.0))
+        npt.assert_allclose(out, np.maximum(rotation_oracle(enc, g, schema, inst), 0.0))
 
-    def test_empty_list_gives_zero_vector(self):
-        out, alpha = intra_aggregate([], Tensor(np.ones(4)), Tensor(np.ones(8)))
-        npt.assert_allclose(out.data, 0.0)
-        assert alpha.size == 0
+    def test_empty_list_gives_zero_vector(self, rng):
+        # S2 is never cited: no S-ctb-F-ct-S instance, so no alpha row either
+        schema = schema_by_id("S-ctb-F-ct-S")
+        h = make_hierarchy({"T1": ["S1", "S2"]})
+        g = build_citation_graph([make_fact("F1", {"S1"})], h)
+        enc = single_schema_encoder(g, schema, d=4)
+        randomize(enc, rng)
+        with no_grad():
+            out, weights = enc.encode(g, ["S1", "S2"], k=3, seed=0, return_weights=True)
+        npt.assert_array_equal(out.data[1], 0.0)
+        assert weights[f"alpha.{schema.id}"].shape == (1, 3)
 
     def test_matches_scalar_oracle(self, rng):
-        encs = [Tensor(rng.normal(size=3)) for _ in range(3)]
-        h_v = Tensor(rng.normal(size=3))
-        a_p = Tensor(rng.normal(size=6))
-        out, alpha = intra_aggregate(encs, h_v, a_p)
+        schema = schema_by_id("S-ctb-F-ct-S")
+        g = paper_figure_graph()
+        enc = single_schema_encoder(g, schema, d=3)
+        randomize(enc, rng)
+        enc.schema_ctx[schema.id].data = rng.normal(size=6)
+        insts = g.sample_instances("S1", schema, k=3, seed=2)
+        out, alpha = encode_one(enc, g, "S1", k=3, seed=2)
         exp_out, exp_alpha = intra_aggregate_scalar(
-            h_v.data.tolist(), [e.data.tolist() for e in encs], a_p.data.tolist())
+            feature(enc, g, "S1").tolist(),
+            [rotation_oracle(enc, g, schema, inst) for inst in insts],
+            enc.schema_ctx[schema.id].data.tolist())
         npt.assert_allclose(alpha, exp_alpha, atol=1e-9)
-        npt.assert_allclose(out.data, exp_out, atol=1e-9)
+        npt.assert_allclose(out, exp_out, atol=1e-9)
+
+
+def inter_encoder(d, d_m, rng):
+    """Static-context encoder with random inter-aggregation parameters."""
+    enc = MetapathEncoder(np.random.default_rng(0), paper_figure_graph(), default_schemas(),
+                          d_node=d, d_prime=d, d_m=d_m, dynamic_context=False)
+    enc.summary_m["S"] = Parameter(rng.normal(size=(d, d_m)))
+    enc.summary_b["S"] = Parameter(rng.normal(size=d_m))
+    enc.side_ctx["S"] = Parameter(rng.normal(size=d_m))
+    return enc
 
 
 class TestInterAggregate:
     def test_identical_summaries_quarter_weights(self, rng):
-        h = Tensor(rng.normal(size=3))
-        out, beta = inter_aggregate([h, h, h, h], Tensor(rng.normal(size=(3, 2))),
-                                    Tensor(rng.normal(size=2)), Tensor(rng.normal(size=2)))
-        npt.assert_allclose(beta, [0.25] * 4)
+        enc = inter_encoder(3, 2, rng)
+        h = Tensor(rng.normal(size=(1, 3)))
+        out, beta = enc._inter_aggregate([h, h, h, h], "S", None)
+        npt.assert_allclose(beta, [[0.25] * 4])
         npt.assert_allclose(out.data, h.data, atol=1e-12)
 
     def test_single_schema(self, rng):
-        h = Tensor(rng.normal(size=3))
-        out, beta = inter_aggregate([h], Tensor(rng.normal(size=(3, 2))),
-                                    Tensor(rng.normal(size=2)), Tensor(rng.normal(size=2)))
-        npt.assert_allclose(beta, [1.0])
+        enc = inter_encoder(3, 2, rng)
+        h = Tensor(rng.normal(size=(1, 3)))
+        out, beta = enc._inter_aggregate([h], "S", None)
+        npt.assert_allclose(beta, [[1.0]])
         npt.assert_allclose(out.data, h.data)
 
     def test_matches_scalar_oracle_two_schemas(self, rng):
         n, d, d_m = 3, 2, 2
         per_schema_t = [Tensor(rng.normal(size=(n, d))) for _ in range(2)]
-        m = Tensor(rng.normal(size=(d, d_m)))
-        b = Tensor(rng.normal(size=d_m))
-        q = Tensor(rng.normal(size=d_m))
-        graph = paper_figure_graph()
-        enc = MetapathEncoder(np.random.default_rng(0), graph, default_schemas(),
-                              d_node=d, d_prime=d, d_m=d_m, dynamic_context=False)
-        enc.summary_m["S"] = Parameter(m.data.copy())
-        enc.summary_b["S"] = Parameter(b.data.copy())
-        enc.side_ctx["S"] = Parameter(q.data.copy())
+        enc = inter_encoder(d, d_m, rng)
         out, beta = enc._inter_aggregate(per_schema_t, "S", None)
         exp_outs, exp_betas = inter_aggregate_scalar(
-            [t.data.tolist() for t in per_schema_t], m.data.T.tolist(), b.data.tolist(),
-            q.data.tolist())
+            [t.data.tolist() for t in per_schema_t], enc.summary_m["S"].data.T.tolist(),
+            enc.summary_b["S"].data.tolist(), enc.side_ctx["S"].data.tolist())
         npt.assert_allclose(out.data, exp_outs, atol=1e-9)
         npt.assert_allclose(beta, exp_betas, atol=1e-9)
 
@@ -164,7 +227,6 @@ class TestEncodeNode:
         # isolating the section in its own topic with no chance of length-2
         # walks back (single topic, single section, no other sections)
         h = make_hierarchy({"T1": ["S1"]}, chapters={"C1": ["T1"]})
-        from lexcite.graph import build_citation_graph
         g = build_citation_graph([], h)
         # S1 has no fact citations: S-ctb-F-ct-S empty; S-po-T-inc-S gives S1-T1-S1
         enc = make_encoder(rng, g)
