@@ -89,3 +89,14 @@ class TextEncoder:
                 "sentence": sent_weights.data,
             }
         return doc_vecs
+
+
+def trim_to_extent(grids: np.ndarray, masks: np.ndarray):
+    """Cut (B, S, W) grids after the last real sentence and word of any row.
+
+    Trailing padding only carries state through, so this saves work without
+    changing the encoding beyond rounding. All-padding input keeps one cell,
+    so the encoder still rejects it."""
+    s_len = int(np.max(np.flatnonzero(masks.any(axis=(0, 2))), initial=0)) + 1
+    w_len = int(np.max(np.flatnonzero(masks.any(axis=(0, 1))), initial=0)) + 1
+    return grids[:, :s_len, :w_len], masks[:, :s_len, :w_len]

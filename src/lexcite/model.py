@@ -18,7 +18,7 @@ from . import autodiff as ad
 from .autodiff import Tensor, no_grad
 from .corpus import Vocabulary, encode_text
 from .graph import HeteroGraph, default_schemas
-from .han import TextEncoder
+from .han import TextEncoder, trim_to_extent
 from .scorer import MatchScorer, ScoreTriple
 from .structural import LookupEncoder, MetapathEncoder
 
@@ -82,9 +82,9 @@ class Model:
         given for facts that are nodes of `graph` (training facts).
         """
         n_facts = fact_grids.shape[0]
-        all_attr = self.text_encoder(np.concatenate([fact_grids, section_grids]),
-                                     np.concatenate([fact_masks, section_masks]),
-                                     training, dropout_rng)
+        grids, masks = trim_to_extent(np.concatenate([fact_grids, section_grids]),
+                                      np.concatenate([fact_masks, section_masks]))
+        all_attr = self.text_encoder(grids, masks, training, dropout_rng)
         h_f_attr = all_attr[:n_facts]
         h_s_attr = all_attr[n_facts:]
         h_s_struct = self.struct_encoder.encode(graph, self.section_ids, k, sample_seed,
@@ -103,7 +103,7 @@ class Model:
                           section_masks: np.ndarray, k: int, seed: int) -> dict:
         """Encode and contextualize the section sets once; reused per fact."""
         with no_grad():
-            h_s_attr = self.text_encoder(section_grids, section_masks)
+            h_s_attr = self.text_encoder(*trim_to_extent(section_grids, section_masks))
             h_s_struct = self.struct_encoder.encode(graph, self.section_ids, k, seed,
                                                     attr_embeddings=h_s_attr)
             both = ad.stack([h_s_attr, h_s_struct], axis=0)
@@ -114,7 +114,7 @@ class Model:
         """Attribute and alignment scores for a single fact (inductive path:
         no fact-side graph access)."""
         with no_grad():
-            h_f = self.text_encoder(grid[None], mask[None])
+            h_f = self.text_encoder(*trim_to_extent(grid[None], mask[None]))
             context = self.scorer.fact_context(h_f)
             pooled_attr, _ = self.scorer.pool_sections(state["attr"], context)
             pooled_struct, _ = self.scorer.pool_sections(state["struct"], context)

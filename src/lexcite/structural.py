@@ -74,12 +74,6 @@ class MetapathEncoder:
         """Transformed per-node features for one type: X_t projected to d'."""
         return ad.matmul(self.node_embed[node_type], self.node_proj[node_type])
 
-    def node_feature(self, graph: HeteroGraph, v: str) -> Tensor:
-        """h' for one node; unknown ids raise (inductive-hygiene gate)."""
-        g = graph.global_index(v)
-        t = graph.node_type[g]
-        return self.feature_table(t)[graph.type_index[g]]
-
     # -- batched encoding ---------------------------------------------------------
 
     def encode(self, graph: HeteroGraph, node_ids: list[str], k: int, seed: int,

@@ -239,7 +239,8 @@ def train_model(model: Model, graph: HeteroGraph, train_docs: list[FactDocument]
                 log_hook=None) -> TrainResult:
     """Adam training over mini-batches with per-epoch validation.
 
-    The model is left holding the parameters of the best validation epoch.
+    The model is left holding the parameters of the best validation epoch;
+    of tied epochs the last, most trained one wins.
     Raises DivergenceError on non-finite loss.
     """
     section_ids = hierarchy.section_ids
@@ -305,7 +306,7 @@ def train_model(model: Model, graph: HeteroGraph, train_docs: list[FactDocument]
         result.log.append(record)
         if log_hook is not None:
             log_hook(record)
-        if val_f1 > result.best_val_f1 + 1e-12:
+        if val_f1 >= result.best_val_f1 - 1e-12:
             result.best_val_f1 = val_f1
             result.best_epoch = epoch
             best_state = model.state_arrays()

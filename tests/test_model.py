@@ -106,3 +106,31 @@ def test_lookup_variant_trains(setup, tmp_path):
     result = train_model(lookup_model, graph, train, val, hierarchy, vocab, cfg)
     assert len(result.log) == 1
     assert np.isfinite(result.log[0]["loss"])
+
+
+def test_caps_are_caps_not_shapes(setup):
+    # a fact and sections that fit within caps (S, W) score bitwise-equally at
+    # those caps and at the paper's 128 x 64: every grid is cut to its real extent
+    model, graph, train, _, _, hierarchy, vocab, config = setup
+    doc = train[0]
+    texts = [doc] + list(hierarchy.sections)
+    s_cap = max(len(t.sentences) for t in texts)
+    w_cap = max(len(s) for t in texts for s in t.sentences)
+    assert s_cap < 128 and w_cap < 64
+    outputs = []
+    for caps in ((s_cap, w_cap), (128, 64)):
+        sec_grids, sec_masks = encode_sections(hierarchy, vocab, *caps)
+        grids, masks = encode_corpus([doc], vocab, *caps)
+        state = model.prepare_inference(graph, sec_grids, sec_masks, 2, 0)
+        outputs.append(model.score_one(state, grids[0], masks[0]))
+    for at_fit, at_paper in zip(*outputs):
+        npt.assert_array_equal(at_fit, at_paper)
+
+
+def test_all_padding_fact_rejected_after_trimming(setup):
+    model, graph, _, _, _, hierarchy, vocab, config = setup
+    sec_grids, sec_masks = encode_sections(hierarchy, vocab, config.max_sents, config.max_words)
+    state = model.prepare_inference(graph, sec_grids, sec_masks, 2, 0)
+    grid = np.zeros((config.max_sents, config.max_words), dtype=np.int64)
+    with pytest.raises(ValueError, match="all-padding"):
+        model.score_one(state, grid, np.zeros_like(grid, dtype=bool))

@@ -62,21 +62,26 @@ def encode_one(enc, graph, v, k, seed):
     return out.data[0], weights[f"alpha.{sid}"][0]
 
 
+def table_row(enc, graph, v):
+    """h' of one node: its row of the transformed feature table."""
+    g = graph.global_index(v)
+    with no_grad():
+        return enc.feature_table(graph.node_type[g]).data[graph.type_index[g]]
+
+
 class TestNodeFeature:
     def test_identity_transform_returns_embedding_row(self, rng):
         g = minimal_graph()
         enc = make_encoder(rng, g)
         enc.node_proj["S"].data = np.eye(4)
         row = enc.node_embed["S"].data[g.type_index[g.global_index("S1")]]
-        with no_grad():
-            npt.assert_allclose(enc.node_feature(g, "S1").data, row)
+        npt.assert_allclose(table_row(enc, g, "S1"), row)
 
     def test_zero_transform_gives_zero(self, rng):
         g = minimal_graph()
         enc = make_encoder(rng, g)
         enc.node_proj["F"].data[:] = 0.0
-        with no_grad():
-            npt.assert_allclose(enc.node_feature(g, "F1").data, 0.0)
+        npt.assert_allclose(table_row(enc, g, "F1"), 0.0)
 
     def test_matches_scalar_matvec(self, rng):
         g = minimal_graph()
@@ -84,15 +89,14 @@ class TestNodeFeature:
                               dynamic_context=False)
         x = enc.node_embed["T"].data[g.type_index[g.global_index("T1")]]
         w = enc.node_proj["T"].data
-        with no_grad():
-            got = enc.node_feature(g, "T1").data
+        got = table_row(enc, g, "T1")
         npt.assert_allclose(got, matvec_scalar(w.T.tolist(), x.tolist()), atol=1e-12)
 
     def test_unknown_node_is_hard_error(self, rng):
         g = minimal_graph()
         enc = make_encoder(rng, g)
-        with pytest.raises(UnknownNodeError):
-            enc.node_feature(g, "F_unseen")
+        with pytest.raises(UnknownNodeError), no_grad():
+            enc.encode(g, ["F_unseen"], k=2, seed=0)
 
 
 class TestEncodeInstance:

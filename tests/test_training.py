@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lexcite import autodiff as ad
+from lexcite import training
 from lexcite.autodiff import Parameter, Tensor
 from lexcite.corpus import build_vocab, load_facts, load_hierarchy
 from lexcite.graph import build_citation_graph
+from lexcite.han import TextEncoder
 from lexcite.model import Model
 from lexcite.split import SplitSpec, iterative_stratified_split
 from lexcite.synth import write_synth
@@ -202,6 +204,47 @@ class TestTrainLoop:
             result = train_model(model, graph, train, val, hierarchy, vocab, config)
             runs.append(result.log[0])
         assert runs[0] == runs[1]
+
+    def test_tied_validation_keeps_the_last_epoch(self, tmp_path, monkeypatch):
+        # a run whose validation F1 never moves keeps its most trained weights
+        monkeypatch.setattr(training, "macro_prf", lambda *args, **kwargs: (0.0, 0.0, 0.0))
+        model, graph, train, val, _, hierarchy, vocab, config = tiny_setup(tmp_path, epochs=3)
+        seen = []
+        result = train_model(model, graph, train, val, hierarchy, vocab, config,
+                             log_hook=lambda record: seen.append(model.state_arrays()))
+        assert result.best_epoch == config.epochs - 1
+        for name, arr in model.state_arrays().items():
+            npt.assert_array_equal(arr, seen[-1][name], err_msg=name)
+
+    def test_paper_defaults_train_on_real_extent_only(self, tmp_path, monkeypatch):
+        # 200-d, 128 x 64 caps: each HAN call must end at a real sentence and a
+        # real word; the spy fails before a padded batch can exhaust memory
+        calls = []
+        encode = TextEncoder.__call__
+
+        def spy(self, grids, masks, *args, **kwargs):
+            calls.append(masks.shape)
+            assert masks[:, -1, :].any(), f"trailing padding sentence in {masks.shape}"
+            assert masks[:, :, -1].any(), f"trailing padding word in {masks.shape}"
+            return encode(self, grids, masks, *args, **kwargs)
+
+        monkeypatch.setattr(TextEncoder, "__call__", spy)
+        facts_path, hier_path = write_synth(tmp_path, n_docs=60, n_sections=4, seed=0)
+        hierarchy = load_hierarchy(hier_path)
+        docs = load_facts(facts_path, hierarchy)
+        train, val, _ = iterative_stratified_split(docs, SplitSpec(seed=0))
+        graph = build_citation_graph(train, hierarchy)
+        vocab = build_vocab([d.tokens() for d in train] + [s.tokens() for s in hierarchy.sections])
+        config = TrainingConfig(epochs=1)
+        assert (config.d_prime, config.max_sents, config.max_words) == (200, 128, 64)
+        model = Model(np.random.default_rng(0), config.model_spec(), len(vocab), graph,
+                      hierarchy.section_ids)
+        result = train_model(model, graph, train, val, hierarchy, vocab, config)
+        (record,) = result.log
+        assert all(np.isfinite(record[k]) for k in
+                   ("loss_attribute", "loss_structural", "loss_alignment", "loss"))
+        n_batches = -(-len(train) // config.batch_size)
+        assert len(calls) == n_batches + 1 + len(val)  # the sections once, then each val fact
 
     def test_divergence_aborts_with_diagnostic(self, tmp_path):
         model, graph, train, val, _, hierarchy, vocab, config = tiny_setup(tmp_path, epochs=1)
