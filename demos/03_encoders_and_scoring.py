@@ -13,7 +13,7 @@ import numpy as np
 from lexcite.autodiff import no_grad
 from lexcite.corpus import build_vocab, encode_corpus, load_facts, load_hierarchy
 from lexcite.graph import build_citation_graph
-from lexcite.model import Model, ModelSpec, encode_sections
+from lexcite.model import Model, ModelSpec
 from lexcite.synth import write_synth
 
 workdir = Path(tempfile.mkdtemp(prefix="lexcite_demo_"))
@@ -40,7 +40,7 @@ for w, sent in sorted(zip(weights, doc.sentences), reverse=True)[:3]:
 
 # --- structural encoder over metapaths ---------------------------------------------
 sections = hierarchy.section_ids
-sec_grids, sec_masks = encode_sections(hierarchy, vocab, 6, 10)
+sec_grids, sec_masks = encode_corpus(hierarchy.sections, vocab, 6, 10)
 with no_grad():
     sec_attr = model.text_encoder(sec_grids, sec_masks)
     sec_struct, att = model.struct_encoder.encode(graph, sections, k=4, seed=0,

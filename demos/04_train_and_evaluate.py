@@ -49,13 +49,12 @@ predictor = Predictor(model, graph, hierarchy, vocab, config)
 tau = tune_threshold(predictor, val)
 print(f"threshold tuned on validation: {tau}")
 
-preds, _ = predict_corpus(predictor, test, tau=tau)
+preds, scores = predict_corpus(predictor, test, tau=tau)
 report = evaluate_predictions(preds, [d.labels for d in test], hierarchy.section_ids,
                               courts=[d.court for d in test])
 print("\n" + report.summary())
 
 fact = test[0]
-labels, scores = predictor.predict(fact, tau=tau)
-print(f"\nunseen fact {fact.id!r}: gold {sorted(fact.labels)}, predicted {sorted(labels)}")
+print(f"\nunseen fact {fact.id!r}: gold {sorted(fact.labels)}, predicted {sorted(preds[0])}")
 print("scores: " + "  ".join(f"{sid}:{v:.2f}"
-                             for sid, v in zip(hierarchy.section_ids, scores)))
+                             for sid, v in zip(hierarchy.section_ids, scores[0])))

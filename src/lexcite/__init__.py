@@ -14,7 +14,8 @@ from .scorer import MatchScorer, ScoreTriple
 from .split import SplitSpec, iterative_stratified_split
 from .synth import synth_corpus, write_synth
 from .training import (Predictor, TrainingConfig, class_weights_tws, class_weights_vws,
-                       combined_loss, predict, train_model, tune_threshold, weighted_bce)
+                       combined_loss, predict_corpus, train_model, tune_threshold,
+                       weighted_bce)
 
 __version__ = "0.1.0"
 
@@ -25,6 +26,6 @@ __all__ = [
     "build_vocab", "class_weights_tws", "class_weights_vws", "combined_loss",
     "default_schemas", "encode_text", "evaluate_predictions", "iterative_stratified_split",
     "load_checkpoint", "load_facts", "load_hierarchy", "macro_prf", "mean_jaccard",
-    "predict", "save_checkpoint", "synth_corpus", "train_model", "tune_threshold",
+    "predict_corpus", "save_checkpoint", "synth_corpus", "train_model", "tune_threshold",
     "weighted_bce", "write_synth",
 ]

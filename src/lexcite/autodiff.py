@@ -31,10 +31,6 @@ def no_grad():
         _grad_enabled = prev
 
 
-def is_grad_enabled() -> bool:
-    return _grad_enabled
-
-
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 

@@ -1,9 +1,10 @@
 """Command-line pipeline: synth, split, build-graph, train, evaluate, predict.
 
-Configuration precedence: built-in defaults < --config file (flat JSON object)
-< explicit command-line flags. Every command echoes its fully resolved
-configuration to stdout and writes it next to its outputs as
-``effective_config.json``; all randomness flows from the single --seed.
+Each command takes only the flags it reads. `train` resolves its configuration
+as built-in defaults < --config file (flat JSON object) < explicit flags.
+Every command echoes its fully resolved configuration to stdout and writes it
+next to its outputs as ``effective_config.json``; all randomness flows from
+the single --seed.
 """
 
 from __future__ import annotations
@@ -28,19 +29,11 @@ from .training import (Predictor, TrainingConfig, citation_frequencies, export_c
 SPLIT_ROLES = ("train", "validation", "test")
 
 
-def _add_shared(parser: argparse.ArgumentParser):
-    parser.add_argument("--config", type=Path, help="flat JSON config file")
-    parser.add_argument("--seed", type=int, help="root random seed")
+def _add_out_dir(parser: argparse.ArgumentParser):
     parser.add_argument("--out-dir", type=Path, default=Path("."), help="output directory")
-    parser.add_argument("--ablation", choices=["full", "E", "S", "V"], default=None,
-                        help="E: lookup structural encoder, S: no structural loss, V: vanilla weights")
-    parser.add_argument("--tau", type=float, help="decision threshold override")
-    parser.add_argument("--eta", type=float, help="class-weight cap override")
-    parser.add_argument("--desk-scale", action="store_true",
-                        help="small dimensions/epochs for laptop-scale runs")
 
 
-def _resolve_config(args) -> TrainingConfig:
+def _resolve_config(args) -> tuple[TrainingConfig, str]:
     values: dict = {}
     if args.config:
         try:
@@ -53,14 +46,10 @@ def _resolve_config(args) -> TrainingConfig:
         raise SystemExit(f"error: unknown config keys {sorted(unknown)}")
     ablation = values.pop("ablation", "full")
     for flag in ("seed", "tau", "eta"):
-        if getattr(args, flag, None) is not None:
+        if getattr(args, flag) is not None:
             values[flag] = getattr(args, flag)
-    if getattr(args, "desk_scale", False):
-        config = TrainingConfig.desk_scale(**values)
-    else:
-        config = TrainingConfig(**values)
-    if getattr(args, "ablation", None):
-        ablation = args.ablation
+    config = TrainingConfig.desk_scale(**values) if args.desk_scale else TrainingConfig(**values)
+    ablation = args.ablation or ablation
     return config.with_ablation(ablation), ablation
 
 
@@ -97,14 +86,13 @@ def _check_role(facts_path: Path, wanted: str):
 
 
 def cmd_synth(args) -> int:
-    config, _ = _resolve_config(args)
     _echo_and_store(args.out_dir, "synth", {
-        "n_docs": args.n_docs, "n_sections": args.n_sections, "seed": config.seed,
+        "n_docs": args.n_docs, "n_sections": args.n_sections, "seed": args.seed,
         "n_topics": args.n_topics, "topic_coherence": args.topic_coherence,
         "skew": args.skew, "section_kw_share": args.section_kw_share,
         "dilute_rare": args.dilute_rare,
     })
-    facts, hierarchy = write_synth(args.out_dir, args.n_docs, args.n_sections, config.seed,
+    facts, hierarchy = write_synth(args.out_dir, args.n_docs, args.n_sections, args.seed,
                                    args.n_topics, args.topic_coherence, args.skew,
                                    args.section_kw_share, args.dilute_rare)
     print(f"wrote {facts} and {hierarchy}")
@@ -112,10 +100,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_split(args) -> int:
-    config, _ = _resolve_config(args)
     ratios = tuple(float(x) for x in args.ratios.split(",")) if args.ratios else (0.64, 0.16, 0.20)
     try:
-        spec = SplitSpec(ratios=ratios, seed=config.seed)
+        spec = SplitSpec(ratios=ratios, seed=args.seed)
     except ValueError as e:
         raise SystemExit(f"error: {e}")
     _echo_and_store(args.out_dir, "split", {"ratios": list(spec.ratios), "seed": spec.seed,
@@ -146,7 +133,6 @@ def cmd_split(args) -> int:
 
 
 def cmd_build_graph(args) -> int:
-    config, _ = _resolve_config(args)
     _check_role(args.facts, "train")
     _echo_and_store(args.out_dir, "build-graph", {"facts": str(args.facts),
                                                   "hierarchy": str(args.hierarchy)})
@@ -239,8 +225,7 @@ def cmd_evaluate(args) -> int:
                                                "checkpoint": str(args.checkpoint),
                                                "facts": str(args.facts)})
     docs = _load_corpus(args.facts, hierarchy)
-    predictor = Predictor(model, graph, hierarchy, vocab, config)
-    preds, _ = predict_corpus(predictor, docs)
+    preds, _ = predict_corpus(Predictor(model, graph, hierarchy, vocab, config), docs)
     golds = [d.labels for d in docs]
     freqs = citation_frequencies(docs, hierarchy.section_ids)
     report = evaluate_predictions(preds, golds, hierarchy.section_ids,
@@ -257,11 +242,10 @@ def cmd_predict(args) -> int:
                                               "checkpoint": str(args.checkpoint),
                                               "facts": str(args.facts)})
     docs = _load_corpus(args.facts, hierarchy)
-    predictor = Predictor(model, graph, hierarchy, vocab, config)
+    preds, all_scores = predict_corpus(Predictor(model, graph, hierarchy, vocab, config), docs)
     out_path = args.out_dir / "predictions.jsonl"
     with out_path.open("w", encoding="utf-8") as fh:
-        for doc in docs:
-            labels, scores = predictor.predict(doc)
+        for doc, labels, scores in zip(docs, preds, all_scores):
             record = {
                 "id": doc.id,
                 "predicted": sorted(labels, key=hierarchy.section_index.get),
@@ -281,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus and hierarchy")
-    _add_shared(p)
     p.add_argument("--n-docs", type=int, required=True)
     p.add_argument("--n-sections", type=int, required=True)
     p.add_argument("--n-topics", type=int, default=None)
@@ -292,23 +275,25 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fraction of content words from the cited section's pool")
     p.add_argument("--dilute-rare", type=float, default=0.0,
                    help="fraction of rare-half section keywords replaced by topic keywords")
+    p.add_argument("--seed", type=int, default=0, help="random seed")
+    _add_out_dir(p)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("split", help="iterative stratified train/val/test split")
-    _add_shared(p)
     p.add_argument("--facts", type=Path, required=True)
     p.add_argument("--hierarchy", type=Path, required=True)
     p.add_argument("--ratios", type=str, default=None, help="e.g. 0.64,0.16,0.20")
+    p.add_argument("--seed", type=int, default=0, help="random seed")
+    _add_out_dir(p)
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("build-graph", help="build the citation network from training facts")
-    _add_shared(p)
     p.add_argument("--facts", type=Path, required=True)
     p.add_argument("--hierarchy", type=Path, required=True)
+    _add_out_dir(p)
     p.set_defaults(func=cmd_build_graph)
 
     p = sub.add_parser("train", help="train the model")
-    _add_shared(p)
     p.add_argument("--facts", type=Path, required=True, help="training split")
     p.add_argument("--val-facts", type=Path, required=True)
     p.add_argument("--hierarchy", type=Path, required=True)
@@ -317,23 +302,28 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pretrained word vectors (token v1..vd per line)")
     p.add_argument("--tune-threshold", action="store_true",
                    help="grid-search tau on the validation split after training")
+    p.add_argument("--config", type=Path, help="flat JSON config file")
+    p.add_argument("--seed", type=int, help="root random seed")
+    p.add_argument("--ablation", choices=["full", "E", "S", "V"], default=None,
+                   help="E: lookup structural encoder, S: no structural loss, V: vanilla weights")
+    p.add_argument("--tau", type=float, help="decision threshold override")
+    p.add_argument("--eta", type=float, help="class-weight cap override")
+    p.add_argument("--desk-scale", action="store_true",
+                   help="small dimensions/epochs for laptop-scale runs")
+    _add_out_dir(p)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", help="evaluate a checkpoint on a facts file")
-    _add_shared(p)
-    p.add_argument("--checkpoint", type=Path, required=True)
-    p.add_argument("--graph", type=Path, required=True)
-    p.add_argument("--hierarchy", type=Path, required=True)
-    p.add_argument("--facts", type=Path, required=True)
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("predict", help="predict sections for each fact in a file")
-    _add_shared(p)
-    p.add_argument("--checkpoint", type=Path, required=True)
-    p.add_argument("--graph", type=Path, required=True)
-    p.add_argument("--hierarchy", type=Path, required=True)
-    p.add_argument("--facts", type=Path, required=True)
-    p.set_defaults(func=cmd_predict)
+    for name, help_, func in (("evaluate", "evaluate a checkpoint on a facts file", cmd_evaluate),
+                              ("predict", "predict sections for each fact in a file",
+                               cmd_predict)):
+        p = sub.add_parser(name, help=help_)
+        for flag in ("--checkpoint", "--graph", "--hierarchy", "--facts"):
+            p.add_argument(flag, type=Path, required=True)
+        p.add_argument("--tau", type=float,
+                       help="decision threshold (default: the checkpoint's tuned tau, "
+                            "else its training config's)")
+        _add_out_dir(p)
+        p.set_defaults(func=func)
     return parser
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, no_grad
-from .corpus import Vocabulary, encode_text
+from .corpus import Vocabulary
 from .graph import HeteroGraph, default_schemas
 from .han import TextEncoder, trim_to_extent
 from .scorer import MatchScorer, ScoreTriple
@@ -100,26 +100,22 @@ class Model:
     # -- inference ----------------------------------------------------------------
 
     def prepare_inference(self, graph: HeteroGraph, section_grids: np.ndarray,
-                          section_masks: np.ndarray, k: int, seed: int) -> dict:
-        """Encode and contextualize the section sets once; reused per fact."""
+                          section_masks: np.ndarray, k: int, seed: int) -> Tensor:
+        """Encode and contextualize the section sets once; reused per fact.
+
+        Returns the contextualized (attribute, structural) pair (2, n_sec, d')."""
         with no_grad():
             h_s_attr = self.text_encoder(*trim_to_extent(section_grids, section_masks))
             h_s_struct = self.struct_encoder.encode(graph, self.section_ids, k, seed,
                                                     attr_embeddings=h_s_attr)
-            both = ad.stack([h_s_attr, h_s_struct], axis=0)
-            contextualized = self.scorer.contextualize_sections(both)
-            return {"attr": contextualized[0], "struct": contextualized[1]}
+            return self.scorer.contextualize_sections(ad.stack([h_s_attr, h_s_struct], axis=0))
 
-    def score_one(self, state: dict, grid: np.ndarray, mask: np.ndarray):
+    def score_one(self, state: Tensor, grid: np.ndarray, mask: np.ndarray):
         """Attribute and alignment scores for a single fact (inductive path:
         no fact-side graph access)."""
         with no_grad():
             h_f = self.text_encoder(*trim_to_extent(grid[None], mask[None]))
-            context = self.scorer.fact_context(h_f)
-            pooled_attr, _ = self.scorer.pool_sections(state["attr"], context)
-            pooled_struct, _ = self.scorer.pool_sections(state["struct"], context)
-            o_attr = self.scorer.score(h_f, pooled_attr)
-            o_align = self.scorer.score(h_f, pooled_struct)
+            o_attr, o_align = self.scorer.score_sections(h_f, state)
             return o_attr.data[0], o_align.data[0]
 
     # -- checkpointing --------------------------------------------------------------
@@ -167,12 +163,3 @@ def load_checkpoint(path, graph: HeteroGraph):
     model.load_state_arrays(arrays)
     return model, vocab, meta
 
-
-def encode_sections(hierarchy, vocab: Vocabulary, max_sents: int, max_words: int):
-    grids = []
-    masks = []
-    for statute in hierarchy.sections:
-        g, m = encode_text(statute, vocab, max_sents, max_words)
-        grids.append(g)
-        masks.append(m)
-    return np.stack(grids), np.stack(masks)

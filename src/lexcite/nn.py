@@ -129,17 +129,12 @@ def additive_attention(h: Tensor, m: Tensor, b: Tensor, context: Tensor,
                        mask: np.ndarray | None = None):
     """tanh-projected attention pooling used at each level of the model.
 
-    h: (N, T, d); m: (d, d_ctx); b: (d_ctx,); context: static (d_ctx,) or a
-    per-row Tensor (N, d_ctx). Returns (pooled (N, d), weights (N, T)).
+    h: (N, T, d); m: (d, d_ctx); b: (d_ctx,); context: static (d_ctx,).
+    Returns (pooled (N, d), weights (N, T)).
     """
     n, t_len, d = h.shape
     u = ad.tanh(ad.add(ad.matmul(ad.reshape(h, (n * t_len, d)), m), b))
-    d_ctx = m.shape[1]
-    if context.ndim == 1:
-        scores = ad.reshape(ad.matmul(u, ad.reshape(context, (d_ctx, 1))), (n, t_len))
-    else:
-        u3 = ad.reshape(u, (n, t_len, d_ctx))
-        scores = ad.tsum(ad.mul(u3, ad.reshape(context, (n, 1, d_ctx))), axis=2)
+    scores = ad.reshape(ad.matmul(u, ad.reshape(context, (m.shape[1], 1))), (n, t_len))
     weights = ad.masked_softmax(scores, mask=mask, axis=1)
     pooled = ad.tsum(ad.mul(h, ad.reshape(weights, (n, t_len, 1))), axis=1)
     return pooled, weights

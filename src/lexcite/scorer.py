@@ -103,6 +103,16 @@ class MatchScorer:
             return ad.matmul(h_f, self.att_ctx)
         return self.att_ctx
 
+    def score_sections(self, h_f: Tensor, contextualized: Tensor) -> tuple[Tensor, Tensor]:
+        """Attribute and alignment scores of fact embeddings (batch, d')
+        against the contextualized (attribute, structural) section pair
+        (2, n_sec, d'). Both pool with the context derived from `h_f`.
+        Training and inductive prediction share this step."""
+        context = self.fact_context(h_f)
+        pooled_attr, _ = self.pool_sections(contextualized[0], context)
+        pooled_struct, _ = self.pool_sections(contextualized[1], context)
+        return self.score(h_f, pooled_attr), self.score(h_f, pooled_struct)
+
     def score_triple(self, h_f_attr: Tensor, h_s_attr: Tensor, h_s_struct: Tensor,
                      h_f_struct: Tensor | None = None) -> ScoreTriple:
         """Attribute, alignment and (training only) structural scores.
@@ -112,15 +122,8 @@ class MatchScorer:
         share the attribute-derived context, the structural score uses the
         structural fact embedding (so its gradients stay on the graph side).
         """
-        context = self.fact_context(h_f_attr)
-        both = ad.stack([h_s_attr, h_s_struct], axis=0)
-        contextualized = self.contextualize_sections(both)
-        pooled_attr, _ = self.pool_sections(contextualized[0], context)
-        pooled_struct, _ = self.pool_sections(contextualized[1], context)
-        triple = ScoreTriple(
-            attribute=self.score(h_f_attr, pooled_attr),
-            alignment=self.score(h_f_attr, pooled_struct),
-        )
+        contextualized = self.contextualize_sections(ad.stack([h_s_attr, h_s_struct], axis=0))
+        triple = ScoreTriple(*self.score_sections(h_f_attr, contextualized))
         if h_f_struct is not None:
             struct_context = self.fact_context(h_f_struct)
             pooled_for_struct, _ = self.pool_sections(contextualized[1], struct_context)

@@ -15,11 +15,11 @@ import numpy as np
 
 from . import autodiff as ad
 from . import nn
-from .autodiff import Tensor, no_grad
+from .autodiff import Tensor
 from .corpus import FactDocument, StatuteHierarchy, Vocabulary, encode_corpus, encode_text
 from .graph import HeteroGraph
 from .metrics import macro_prf
-from .model import Model, ModelSpec, encode_sections
+from .model import Model, ModelSpec
 
 SCORE_EPS = 1e-7
 DEFAULT_THRESHOLD_GRID = tuple(round(0.05 * i, 2) for i in range(1, 20))
@@ -157,8 +157,9 @@ def combined_loss(loss_a: Tensor, loss_s: Tensor | None, loss_l: Tensor,
 
 
 class Predictor:
-    """Inference wrapper: section encodings are fixed once (seeded by the
-    config seed), then each fact is scored independently from its text only.
+    """Inference state: section encodings are fixed once (seeded by the
+    config seed), then `predict_corpus` scores each fact independently from
+    its text only.
 
     Per-fact independence is what makes predictions bit-identical no matter
     which other documents happen to share the corpus file.
@@ -170,33 +171,27 @@ class Predictor:
         self.config = config
         self.vocab = vocab
         self.section_ids = model.section_ids
-        sec_grids, sec_masks = encode_sections(hierarchy, vocab, config.max_sents, config.max_words)
+        sec_grids, sec_masks = encode_corpus(hierarchy.sections, vocab, config.max_sents,
+                                             config.max_words)
         self.state = model.prepare_inference(graph, sec_grids, sec_masks,
                                              config.k_instances, config.seed)
 
-    def combined_scores(self, doc: FactDocument) -> np.ndarray:
-        grid, mask = encode_text(doc, self.vocab, self.config.max_sents, self.config.max_words)
-        o_attr, o_align = self.model.score_one(self.state, grid, mask)
-        return self.config.lambda_a * o_attr + self.config.lambda_l * o_align
 
-    def predict(self, doc: FactDocument, tau: float | None = None):
-        """Thresholded label set plus the raw combined score vector."""
-        scores = self.combined_scores(doc)
-        tau = self.config.tau if tau is None else tau
-        labels = {self.section_ids[i] for i in np.flatnonzero(scores >= tau)}
-        return labels, scores
-
-
-def predict(doc: FactDocument, model: Model, graph: HeteroGraph, hierarchy: StatuteHierarchy,
-            vocab: Vocabulary, config: TrainingConfig):
-    return Predictor(model, graph, hierarchy, vocab, config).predict(doc)
+def _label_set(scores: np.ndarray, tau: float, section_ids: list[str]) -> set[str]:
+    return {section_ids[i] for i in np.flatnonzero(scores >= tau)}
 
 
 def predict_corpus(predictor: Predictor, docs: list[FactDocument], tau: float | None = None):
+    """Per fact: its thresholded label set and its combined score vector
+    lambda_a * attribute + lambda_l * alignment, as (label sets, (n, n_sec))."""
+    config = predictor.config
+    tau = config.tau if tau is None else tau
     preds, all_scores = [], []
     for doc in docs:
-        labels, scores = predictor.predict(doc, tau)
-        preds.append(labels)
+        grid, mask = encode_text(doc, predictor.vocab, config.max_sents, config.max_words)
+        o_attr, o_align = predictor.model.score_one(predictor.state, grid, mask)
+        scores = config.lambda_a * o_attr + config.lambda_l * o_align
+        preds.append(_label_set(scores, tau, predictor.section_ids))
         all_scores.append(scores)
     return preds, np.array(all_scores)
 
@@ -206,13 +201,12 @@ def tune_threshold(predictor: Predictor, val_docs: list[FactDocument],
     """Pick the grid threshold maximizing validation macro-F1 (ties: smaller)."""
     if not grid:
         raise ValueError("empty threshold grid")
-    scores = np.array([predictor.combined_scores(d) for d in val_docs])
+    _, scores = predict_corpus(predictor, val_docs)
     golds = [d.labels for d in val_docs]
     universe = predictor.section_ids
     best_tau, best_f1 = None, -1.0
     for tau in sorted(grid):
-        preds = [{universe[i] for i in np.flatnonzero(row >= tau)} for row in scores]
-        _, _, f1 = macro_prf(preds, golds, universe)
+        _, _, f1 = macro_prf([_label_set(row, tau, universe) for row in scores], golds, universe)
         if f1 > best_f1 + 1e-12:
             best_tau, best_f1 = tau, f1
     return float(best_tau)
@@ -245,7 +239,8 @@ def train_model(model: Model, graph: HeteroGraph, train_docs: list[FactDocument]
     """
     section_ids = hierarchy.section_ids
     grids, masks = encode_corpus(train_docs, vocab, config.max_sents, config.max_words)
-    sec_grids, sec_masks = encode_sections(hierarchy, vocab, config.max_sents, config.max_words)
+    sec_grids, sec_masks = encode_corpus(hierarchy.sections, vocab, config.max_sents,
+                                         config.max_words)
     targets = np.stack([hierarchy.label_vector(d.labels) for d in train_docs])
     freqs = citation_frequencies(train_docs, section_ids)
     weights = class_weights(freqs, len(train_docs), config)

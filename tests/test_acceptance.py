@@ -19,7 +19,7 @@ from lexcite.corpus import (FactDocument, build_vocab, encode_corpus, load_facts
                             load_facts_with_report, load_hierarchy, average_labels_per_doc)
 from lexcite.graph import build_citation_graph, default_schemas
 from lexcite.metrics import macro_prf, mean_jaccard
-from lexcite.model import Model, encode_sections
+from lexcite.model import Model
 from lexcite.scorer import MatchScorer
 from lexcite.split import SplitSpec, iterative_stratified_split
 from lexcite.synth import synth_corpus, write_synth
@@ -85,7 +85,7 @@ def test_criterion_1_gradient_fidelity(tmp_path):
     model = Model(np.random.default_rng(0), cfg.model_spec(), len(vocab), graph,
                   hierarchy.section_ids)
     grids, masks = encode_corpus(docs, vocab, cfg.max_sents, cfg.max_words)
-    sec_grids, sec_masks = encode_sections(hierarchy, vocab, cfg.max_sents, cfg.max_words)
+    sec_grids, sec_masks = encode_corpus(hierarchy.sections, vocab, cfg.max_sents, cfg.max_words)
     targets = np.stack([hierarchy.label_vector(d.labels) for d in docs])
     weights = class_weights(citation_frequencies(docs, hierarchy.section_ids), len(docs), cfg)
     fact_ids = [d.id for d in docs]

@@ -166,8 +166,23 @@ def test_unknown_config_key_rejected(pipeline, tmp_path):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps({"not_a_key": 1}))
     with pytest.raises(SystemExit, match="unknown config"):
-        main(["synth", "--n-docs", "5", "--n-sections", "2", "--config", str(cfg_path),
-              "--out-dir", str(tmp_path)])
+        main(["train", "--facts", str(pipeline / "splits" / "train.jsonl"),
+              "--val-facts", str(pipeline / "splits" / "validation.jsonl"),
+              "--hierarchy", str(pipeline / "data" / "hierarchy.json"),
+              "--graph", str(pipeline / "graph" / "graph.json"),
+              "--config", str(cfg_path), "--out-dir", str(tmp_path)])
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict", "--checkpoint", "c.npz", "--graph", "g.json", "--hierarchy", "h.json",
+     "--facts", "f.jsonl", "--seed", "1"],
+    ["build-graph", "--facts", "f.jsonl", "--hierarchy", "h.json", "--seed", "1"],
+    ["split", "--facts", "f.jsonl", "--hierarchy", "h.json", "--desk-scale"],
+], ids=["predict-seed", "build-graph-seed", "split-desk-scale"])
+def test_flags_a_command_does_not_read_are_rejected(argv, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
 
 
 def test_tau_flag_overrides_checkpoint_config(pipeline, tmp_path):

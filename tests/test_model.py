@@ -5,7 +5,7 @@ import pytest
 from lexcite.autodiff import no_grad
 from lexcite.corpus import build_vocab, encode_corpus, load_facts, load_hierarchy
 from lexcite.graph import build_citation_graph
-from lexcite.model import Model, ModelSpec, encode_sections, load_checkpoint, save_checkpoint
+from lexcite.model import Model, ModelSpec, load_checkpoint, save_checkpoint
 from lexcite.split import SplitSpec, iterative_stratified_split
 from lexcite.synth import write_synth
 from lexcite.training import TrainingConfig, train_model
@@ -31,7 +31,8 @@ def setup(tmp_path_factory):
 def test_forward_shapes(setup):
     model, graph, train, val, test, hierarchy, vocab, config = setup
     grids, masks = encode_corpus(train[:5], vocab, config.max_sents, config.max_words)
-    sec_grids, sec_masks = encode_sections(hierarchy, vocab, config.max_sents, config.max_words)
+    sec_grids, sec_masks = encode_corpus(hierarchy.sections, vocab, config.max_sents,
+                                         config.max_words)
     with no_grad():
         triple = model.forward(graph, grids, masks, sec_grids, sec_masks, k=2, sample_seed=0,
                                fact_ids=[d.id for d in train[:5]], training=True)
@@ -46,7 +47,8 @@ def test_forward_shapes(setup):
 def test_fact_structural_requires_training_flag(setup):
     model, graph, train, _, _, hierarchy, vocab, config = setup
     grids, masks = encode_corpus(train[:2], vocab, config.max_sents, config.max_words)
-    sec_grids, sec_masks = encode_sections(hierarchy, vocab, config.max_sents, config.max_words)
+    sec_grids, sec_masks = encode_corpus(hierarchy.sections, vocab, config.max_sents,
+                                         config.max_words)
     with pytest.raises(ValueError, match="training-only"):
         model.forward(graph, grids, masks, sec_grids, sec_masks, k=2, sample_seed=0,
                       fact_ids=[d.id for d in train[:2]], training=False)
@@ -56,7 +58,8 @@ def test_inference_path_matches_training_scores(setup):
     model, graph, train, _, _, hierarchy, vocab, config = setup
     doc = train[0]
     grids, masks = encode_corpus([doc], vocab, config.max_sents, config.max_words)
-    sec_grids, sec_masks = encode_sections(hierarchy, vocab, config.max_sents, config.max_words)
+    sec_grids, sec_masks = encode_corpus(hierarchy.sections, vocab, config.max_sents,
+                                         config.max_words)
     with no_grad():
         triple = model.forward(graph, grids, masks, sec_grids, sec_masks,
                                k=config.k_instances, sample_seed=config.seed)
@@ -77,7 +80,8 @@ def test_checkpoint_roundtrip(tmp_path, setup):
     for name, arr in model.state_arrays().items():
         npt.assert_array_equal(restored.state_arrays()[name], arr, err_msg=name)
 
-    sec_grids, sec_masks = encode_sections(hierarchy, vocab, config.max_sents, config.max_words)
+    sec_grids, sec_masks = encode_corpus(hierarchy.sections, vocab, config.max_sents,
+                                         config.max_words)
     grids, masks = encode_corpus([test[0]], vocab, config.max_sents, config.max_words)
     s1 = model.prepare_inference(graph, sec_grids, sec_masks, 2, 0)
     s2 = restored.prepare_inference(graph, sec_grids, sec_masks, 2, 0)
@@ -119,7 +123,7 @@ def test_caps_are_caps_not_shapes(setup):
     assert s_cap < 128 and w_cap < 64
     outputs = []
     for caps in ((s_cap, w_cap), (128, 64)):
-        sec_grids, sec_masks = encode_sections(hierarchy, vocab, *caps)
+        sec_grids, sec_masks = encode_corpus(hierarchy.sections, vocab, *caps)
         grids, masks = encode_corpus([doc], vocab, *caps)
         state = model.prepare_inference(graph, sec_grids, sec_masks, 2, 0)
         outputs.append(model.score_one(state, grids[0], masks[0]))
@@ -129,7 +133,8 @@ def test_caps_are_caps_not_shapes(setup):
 
 def test_all_padding_fact_rejected_after_trimming(setup):
     model, graph, _, _, _, hierarchy, vocab, config = setup
-    sec_grids, sec_masks = encode_sections(hierarchy, vocab, config.max_sents, config.max_words)
+    sec_grids, sec_masks = encode_corpus(hierarchy.sections, vocab, config.max_sents,
+                                         config.max_words)
     state = model.prepare_inference(graph, sec_grids, sec_masks, 2, 0)
     grid = np.zeros((config.max_sents, config.max_words), dtype=np.int64)
     with pytest.raises(ValueError, match="all-padding"):

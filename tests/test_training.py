@@ -263,11 +263,11 @@ class TestPrediction:
         }
         monkeypatch.setattr(model, "score_one",
                             lambda state, grid, mask: (fixed["attr"], fixed["align"]))
-        labels, scores = predictor.predict(train[0])
+        preds, scores = predict_corpus(predictor, [train[0]])
         # 0.25*0.8 + 0.75*0.8 = 0.8 >= 0.65 predicted
         # 0.25*1.0 + 0.75*0.5 = 0.625 < 0.65 not predicted
-        npt.assert_allclose(scores, [0.8, 0.625, 0.2])
-        assert labels == {hierarchy.section_ids[0]}
+        npt.assert_allclose(scores[0], [0.8, 0.625, 0.2])
+        assert preds[0] == {hierarchy.section_ids[0]}
 
     def test_recall_tuned_threshold_is_config_change(self, tmp_path, monkeypatch):
         model, graph, train, val, _, hierarchy, vocab, config = tiny_setup(tmp_path, epochs=1)
@@ -275,8 +275,8 @@ class TestPrediction:
         monkeypatch.setattr(model, "score_one",
                             lambda state, grid, mask: (np.array([0.8, 1.0, 0.2]),
                                                        np.array([0.8, 0.5, 0.2])))
-        labels, _ = predictor.predict(train[0], tau=0.3)
-        assert labels == {hierarchy.section_ids[0], hierarchy.section_ids[1]}
+        preds, _ = predict_corpus(predictor, [train[0]], tau=0.3)
+        assert preds[0] == {hierarchy.section_ids[0], hierarchy.section_ids[1]}
 
     def test_predict_never_touches_fact_neighbourhoods(self, tmp_path):
         model, graph, train, val, test, hierarchy, vocab, config = tiny_setup(tmp_path, epochs=1)
@@ -303,7 +303,7 @@ class TestTuneThreshold:
         train_model(model, graph, train, val, hierarchy, vocab, config)
         predictor = Predictor(model, graph, hierarchy, vocab, config)
         tau = tune_threshold(predictor, val)
-        scores = np.array([predictor.combined_scores(d) for d in val])
+        _, scores = predict_corpus(predictor, val)
         golds = [d.labels for d in val]
 
         def f1_at(t):
