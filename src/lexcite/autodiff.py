@@ -277,19 +277,6 @@ def matmul(a, b):
 # -- elementwise unary --------------------------------------------------------
 
 
-def exp(a):
-    a = _as_tensor(a)
-    out_data = np.exp(a.data)
-    if not (_grad_enabled and a.requires_grad):
-        return _raw(out_data)
-
-    def backward(g):
-        a._ensure_grad()
-        a.grad += g * out_data
-
-    return _tracked(out_data, (a,), backward)
-
-
 def log(a):
     a = _as_tensor(a)
     data = np.log(a.data)

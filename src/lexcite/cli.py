@@ -201,8 +201,9 @@ def _restore(args):
     graph = HeteroGraph.load(args.graph)
     model, vocab, meta = load_checkpoint(args.checkpoint, graph)
     # Checkpoints written by older versions may name options that have since
-    # been removed, such as the self-edge walk flag; those only configured
-    # training, so scoring drops them.
+    # been removed: the self-edge walk flag and the attention-context mode.
+    # Scoring drops them from the training config; load_checkpoint has
+    # already refused a model built with static contexts.
     known = {f.name for f in fields(TrainingConfig)}
     values = {k: v for k, v in meta["train_config"].items() if k in known}
     tuned = meta["extra"].get("tuned_tau")

@@ -253,24 +253,6 @@ class Vocabulary:
     def decode(self, idx: int) -> str:
         return self.tokens[idx]
 
-    def save(self, path):
-        with Path(path).open("w", encoding="utf-8") as fh:
-            for tok in self.tokens[2:]:
-                fh.write(f"{tok}\t{self.freqs[tok]}\n")
-
-    @classmethod
-    def load(cls, path) -> "Vocabulary":
-        tokens: list[str] = []
-        freqs: dict[str, int] = {}
-        with Path(path).open(encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                tok, _, freq = line.rstrip("\n").partition("\t")
-                tokens.append(tok)
-                freqs[tok] = int(freq)
-        return cls(tokens, freqs)
-
     def load_vectors(self, path, dim: int):
         """Read whitespace-separated `token v1 .. v_dim` lines. Returns the
         (|V|, dim) matrix (zeros where absent) and a found mask."""

@@ -35,7 +35,6 @@ class ModelSpec:
     d_m: int = 200
     d_s: int = 200
     dropout: float = 0.5
-    dynamic_context: bool = True
     structural: str = "metapath"  # or "lookup"
 
     def __post_init__(self):
@@ -56,12 +55,10 @@ class Model:
                                         pretrained_mask=pretrained_mask)
         if spec.structural == "metapath":
             self.struct_encoder = MetapathEncoder(rng, graph, self.schemas, spec.d_node,
-                                                  spec.d_prime, spec.d_m,
-                                                  dynamic_context=spec.dynamic_context)
+                                                  spec.d_prime, spec.d_m)
         else:
             self.struct_encoder = LookupEncoder(rng, graph, spec.d_prime)
-        self.scorer = MatchScorer(rng, len(section_ids), spec.d_prime, spec.d_s,
-                                  dynamic_context=spec.dynamic_context)
+        self.scorer = MatchScorer(rng, len(section_ids), spec.d_prime, spec.d_s)
 
     def parameters(self) -> dict[str, Tensor]:
         params = {}
@@ -158,7 +155,14 @@ def load_checkpoint(path, graph: HeteroGraph):
         arrays = {k[len("param."):]: blob[k] for k in blob.files if k.startswith("param.")}
     vocab = Vocabulary(meta["vocab_tokens"],
                        dict(zip(meta["vocab_tokens"], meta["vocab_freqs"])))
-    spec = ModelSpec(**meta["model_spec"])
+    spec_values = dict(meta["model_spec"])
+    # Older checkpoints name the retired attention-context mode. Only its
+    # attribute-derived setting matches today's parameter shapes; a
+    # static-context checkpoint is refused.
+    if not spec_values.pop("dynamic_context", True):
+        raise ValueError("checkpoint was trained with dynamic_context=false (static attention "
+                         "contexts), which is no longer supported")
+    spec = ModelSpec(**spec_values)
     model = Model(np.random.default_rng(0), spec, len(vocab), graph, meta["section_ids"])
     model.load_state_arrays(arrays)
     return model, vocab, meta

@@ -28,22 +28,17 @@ class ScoreTriple:
 
 
 class MatchScorer:
-    def __init__(self, rng: np.random.Generator, n_sections: int, d_prime: int, d_s: int,
-                 dynamic_context: bool = True):
+    def __init__(self, rng: np.random.Generator, n_sections: int, d_prime: int, d_s: int):
         self.n_sections = n_sections
         self.d_prime = d_prime
         self.d_s = d_s
-        self.dynamic_context = dynamic_context
 
         self.seq = nn.BiLSTM(rng, d_prime, d_prime, "scorer.seq")
         self.seq_proj = nn.glorot_init(rng, (2 * d_prime, d_prime))
         self.seq_proj_b = nn.zeros_init((d_prime,))
         self.att_m = nn.glorot_init(rng, (d_prime, d_s))
         self.att_b = nn.zeros_init((d_s,))
-        if dynamic_context:
-            self.att_ctx = nn.glorot_init(rng, (d_prime, d_s))
-        else:
-            self.att_ctx = nn.uniform_init(rng, (d_s,))
+        self.att_ctx = nn.glorot_init(rng, (d_prime, d_s))
         self.classifier_w = nn.glorot_init(rng, (2 * d_prime, n_sections))
         self.classifier_b = nn.zeros_init((n_sections,))
 
@@ -77,31 +72,23 @@ class MatchScorer:
     def pool_sections(self, contextualized: Tensor, context: Tensor):
         """Attention-pool contextualized sections (n_sec, d').
 
-        `context` is the static learned vector (d_s,) or a per-fact dynamic
-        context (batch, d_s). Returns (pooled (batch, d'), gamma (batch, n_sec)).
+        `context` holds one pooling context per fact (batch, d_s), as made by
+        `fact_context`. Returns (pooled (batch, d'), gamma (batch, n_sec)).
         """
-        n_sec, d = contextualized.shape
         u = ad.tanh(ad.add(ad.matmul(contextualized, self.att_m), self.att_b))  # (n_sec, d_s)
-        if context.ndim == 1:
-            scores = ad.reshape(ad.matmul(u, ad.reshape(context, (self.d_s, 1))), (1, n_sec))
-        else:
-            scores = ad.matmul(context, u.transpose())  # (batch, n_sec)
+        scores = ad.matmul(context, u.transpose())  # (batch, n_sec)
         gamma = ad.softmax(scores, axis=1)
         pooled = ad.matmul(gamma, contextualized)
         return pooled, gamma
 
     def score(self, h_f: Tensor, h_set: Tensor) -> Tensor:
         """sigmoid(W [h_f || h_set] + b) -> (batch, n_sections) in (0, 1)."""
-        if h_set.shape[0] == 1 and h_f.shape[0] > 1:
-            h_set = ad.mul(h_set, np.ones((h_f.shape[0], 1)))
         cat = ad.concat([h_f, h_set], axis=1)
         return ad.sigmoid(ad.add(ad.matmul(cat, self.classifier_w), self.classifier_b))
 
     def fact_context(self, h_f: Tensor) -> Tensor:
-        """Dynamic pooling context from fact embeddings, or the static one."""
-        if self.dynamic_context:
-            return ad.matmul(h_f, self.att_ctx)
-        return self.att_ctx
+        """Pooling contexts (batch, d_s) derived from fact embeddings (batch, d')."""
+        return ad.matmul(h_f, self.att_ctx)
 
     def score_sections(self, h_f: Tensor, contextualized: Tensor) -> tuple[Tensor, Tensor]:
         """Attribute and alignment scores of fact embeddings (batch, d')

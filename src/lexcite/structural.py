@@ -3,8 +3,9 @@
 Pipeline per node: sample metapath instances per schema, fold each instance
 into one vector with the relational-rotation recurrence, attention-pool the
 instances of each schema (intra), then attention-combine the schemas (inter).
-Attention context vectors are either learned parameters or generated
-dynamically from the node's text embedding.
+Both attention contexts are derived from the node's attribute (text)
+embedding through a learned matrix per schema and per side, so the graph
+side attends by what the node's text says.
 
 A lookup-table variant (:class:`LookupEncoder`) replaces the whole pipeline
 for the embedding-ablation configuration.
@@ -24,15 +25,13 @@ LEAKY_SLOPE = 0.01
 
 class MetapathEncoder:
     def __init__(self, rng: np.random.Generator, graph: HeteroGraph,
-                 schemas: list[MetapathSchema], d_node: int, d_prime: int, d_m: int,
-                 dynamic_context: bool = True):
+                 schemas: list[MetapathSchema], d_node: int, d_prime: int, d_m: int):
         self.schemas = {s.id: s for s in schemas}
         self.sides = {"S": [s for s in schemas if s.side == "section"],
                       "F": [s for s in schemas if s.side == "fact"]}
         self.d_node = d_node
         self.d_prime = d_prime
         self.d_m = d_m
-        self.dynamic_context = dynamic_context
 
         self.node_embed = {t: nn.uniform_init(rng, (graph.n_nodes(t), d_node))
                            for t in NODE_TYPES}
@@ -45,15 +44,11 @@ class MetapathEncoder:
         self.summary_b: dict[str, Parameter] = {}
         self.side_ctx: dict[str, Parameter] = {}
         for s in schemas:
-            shape = (d_prime, 2 * d_prime) if dynamic_context else (2 * d_prime,)
-            init = nn.glorot_init if dynamic_context else nn.uniform_init
-            self.schema_ctx[s.id] = init(rng, shape)
+            self.schema_ctx[s.id] = nn.glorot_init(rng, (d_prime, 2 * d_prime))
         for t in ("S", "F"):
             self.summary_m[t] = nn.glorot_init(rng, (d_prime, d_m))
             self.summary_b[t] = nn.zeros_init((d_m,))
-            shape = (d_prime, d_m) if dynamic_context else (d_m,)
-            init = nn.glorot_init if dynamic_context else nn.uniform_init
-            self.side_ctx[t] = init(rng, shape)
+            self.side_ctx[t] = nn.glorot_init(rng, (d_prime, d_m))
 
     def parameters(self) -> dict[str, Tensor]:
         params: dict[str, Tensor] = {"structural.relations": self.relation_vecs}
@@ -78,15 +73,18 @@ class MetapathEncoder:
 
     def encode(self, graph: HeteroGraph, node_ids: list[str], k: int, seed: int,
                attr_embeddings: Tensor | None = None, return_weights: bool = False):
-        """Encode nodes of one type into (n, d') structural embeddings."""
+        """Encode nodes of one type into (n, d') structural embeddings.
+
+        `attr_embeddings` (n, d') are the nodes' attribute embeddings, row for
+        row; every attention context is derived from them."""
         if not node_ids:
             raise ValueError("empty node batch")
         gidx = np.array([graph.global_index(v) for v in node_ids])
         node_type = graph.node_type[gidx[0]]
         if any(graph.node_type[g] != node_type for g in gidx):
             raise ValueError("encode() expects nodes of a single type")
-        if self.dynamic_context and attr_embeddings is None:
-            raise ValueError("dynamic context requires attribute embeddings")
+        if attr_embeddings is None:
+            raise ValueError("attention contexts require attribute embeddings")
         schemas = self.sides[node_type]
         n = len(node_ids)
         type_local = np.array(graph.type_index)
@@ -116,15 +114,10 @@ class MetapathEncoder:
             h_inst = ad.mul(q, 1.0 / (m_len + 1))
 
             h_v = ad.embedding(tables[node_type], type_local[gidx[with_idx]])
-            ctx = self.schema_ctx[schema.id]
-            if self.dynamic_context:
-                a_full = ad.matmul(attr_embeddings, ctx)[with_idx]
-                a1 = a_full[:, : self.d_prime]
-                a2 = ad.reshape(a_full[:, self.d_prime :], (len(with_idx), 1, self.d_prime))
-            else:
-                a1 = ctx[: self.d_prime]
-                a2 = ad.reshape(ctx[self.d_prime :], (1, 1, self.d_prime))
-            scores = ad.add(ad.tsum(ad.mul(a1, h_v), axis=-1, keepdims=True).reshape((len(with_idx), 1)),
+            a_full = ad.matmul(attr_embeddings, self.schema_ctx[schema.id])[with_idx]
+            a1 = a_full[:, : self.d_prime]
+            a2 = ad.reshape(a_full[:, self.d_prime :], (len(with_idx), 1, self.d_prime))
+            scores = ad.add(ad.tsum(ad.mul(a1, h_v), axis=-1, keepdims=True),
                             ad.tsum(ad.mul(a2, h_inst), axis=2))
             alpha = ad.softmax(ad.leaky_relu(scores, LEAKY_SLOPE), axis=1)
             pooled = ad.relu(ad.tsum(ad.mul(ad.reshape(alpha, alpha.shape + (1,)), h_inst), axis=1))
@@ -139,23 +132,18 @@ class MetapathEncoder:
         return out
 
     def _inter_aggregate(self, per_schema: list[Tensor], node_type: str,
-                         attr_embeddings: Tensor | None):
+                         attr_embeddings: Tensor):
         n = per_schema[0].shape[0]
         m = self.summary_m[node_type]
         b = self.summary_b[node_type]
         summaries = [ad.tmean(ad.tanh(ad.add(ad.matmul(h, m), b)), axis=0) for h in per_schema]
-        ctx = self.side_ctx[node_type]
-        if self.dynamic_context:
-            q = ad.matmul(attr_embeddings, ctx)  # (n, d_m)
-            scores = ad.stack([ad.tsum(ad.mul(q, s), axis=1) for s in summaries], axis=1)
-        else:
-            scores = ad.reshape(ad.stack([ad.tsum(ad.mul(ctx, s)) for s in summaries]),
-                                (1, len(summaries)))
+        q = ad.matmul(attr_embeddings, self.side_ctx[node_type])  # (n, d_m)
+        scores = ad.stack([ad.tsum(ad.mul(q, s), axis=1) for s in summaries], axis=1)
         beta = ad.softmax(scores, axis=1)
         out = Tensor(np.zeros((n, self.d_prime)))
         for j, h in enumerate(per_schema):
-            out = ad.add(out, ad.mul(ad.reshape(beta[:, j], (beta.shape[0], 1)), h))
-        return out, np.broadcast_to(beta.data, (n, len(per_schema)))
+            out = ad.add(out, ad.mul(ad.reshape(beta[:, j], (n, 1)), h))
+        return out, beta.data
 
 
 class LookupEncoder:

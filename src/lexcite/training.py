@@ -56,7 +56,6 @@ class TrainingConfig:
     max_sents: int = 128
     max_words: int = 64
     min_freq: int = 1
-    dynamic_context: bool = True
     structural: str = "metapath"
 
     def __post_init__(self):
@@ -72,11 +71,15 @@ class TrainingConfig:
             raise ValueError("learning rate must lie in [1e-6, 1e-2]")
         if self.weighting not in ("tws", "vws"):
             raise ValueError(f"unknown weighting scheme {self.weighting!r}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError("dropout must lie in [0, 1)")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
 
     def model_spec(self) -> ModelSpec:
         return ModelSpec(embed_dim=self.embed_dim, d_prime=self.d_prime, d_node=self.d_node,
                          d_m=self.d_m, d_s=self.d_s, dropout=self.dropout,
-                         dynamic_context=self.dynamic_context, structural=self.structural)
+                         structural=self.structural)
 
     def with_ablation(self, ablation: str) -> "TrainingConfig":
         """full: unchanged; E: lookup-table structural encoder; S: no

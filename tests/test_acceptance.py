@@ -29,8 +29,8 @@ from lexcite.training import (Predictor, TrainingConfig, citation_frequencies, c
 
 from conftest import make_fact
 from oracles import (conforms, enumerate_instances, fd_gradients, inter_aggregate_scalar,
-                     intra_aggregate_scalar, jaccard_scalar, macro_prf_scalar, max_rel_error,
-                     softmax_scalar, tws_scalar, vws_scalar, weighted_bce_scalar)
+                     intra_aggregate_scalar, jaccard_scalar, macro_prf_scalar, matvec_scalar,
+                     max_rel_error, softmax_scalar, tws_scalar, vws_scalar, weighted_bce_scalar)
 from test_graph import random_graph
 from test_structural import (encode_one, feature, randomize, rotation_oracle,
                              single_schema_encoder)
@@ -197,7 +197,8 @@ def test_criterion_3_formula_oracles():
         npt.assert_allclose(got, cfg.theta_a * a + cfg.theta_s * s + cfg.theta_l * l, atol=1e-9)
     checks["combined_loss"] = 100
 
-    # The structural formulas are checked through the production encoder. A
+    # The structural formulas are checked through the production encoder,
+    # whose attention contexts come from random attribute embeddings. A
     # one-schema encoder (single_schema_encoder) returns relu of the pooled
     # instance encodings; with k=1 that is relu(q_M / (M + 1)), and negating
     # every feature negates q_M, which exposes the other half.
@@ -206,16 +207,18 @@ def test_criterion_3_formula_oracles():
     schemas = [s for s in default_schemas() if s.side == "section"]
     schema = schemas[2]  # S-po-T-po-C-inc-T-inc-S, length 4
     for i in range(100):
-        enc = single_schema_encoder(g, schema, d=int(rng.integers(2, 6)), seed=i)
+        d = int(rng.integers(2, 6))
+        enc = single_schema_encoder(g, schema, d=d, seed=i)
         randomize(enc, rng)
+        attr = rng.normal(size=d)
         v = sections[i % len(sections)]
         inst = g.sample_instances(v, schema, k=1, seed=i)[0]
         want = np.array(rotation_oracle(enc, g, schema, inst))
-        got, _ = encode_one(enc, g, v, k=1, seed=i)
+        got, _ = encode_one(enc, g, v, k=1, seed=i, attr=attr)
         npt.assert_allclose(got, np.maximum(want, 0.0), atol=1e-9)
         for t in enc.node_embed:
             enc.node_embed[t].data = -enc.node_embed[t].data
-        got, _ = encode_one(enc, g, v, k=1, seed=i)
+        got, _ = encode_one(enc, g, v, k=1, seed=i, attr=attr)
         npt.assert_allclose(got, np.maximum(-want, 0.0), atol=1e-9)
     checks["relational_rotation"] = 100
 
@@ -228,26 +231,29 @@ def test_criterion_3_formula_oracles():
         k = int(rng.integers(1, 6))
         enc = single_schema_encoder(g, schema, d=d, seed=i)
         randomize(enc, rng)
-        enc.schema_ctx[schema.id].data = rng.normal(size=2 * d)
+        enc.schema_ctx[schema.id].data = rng.normal(size=(d, 2 * d))
+        attr = rng.normal(size=d)
         insts = g.sample_instances(v, schema, k=k, seed=i)
-        _, alpha = encode_one(enc, g, v, k=k, seed=i)
+        _, alpha = encode_one(enc, g, v, k=k, seed=i, attr=attr)
+        a_p = matvec_scalar(enc.schema_ctx[schema.id].data.T.tolist(), attr.tolist())
         _, exp_alpha = intra_aggregate_scalar(feature(enc, g, v).tolist(),
                                               [rotation_oracle(enc, g, schema, inst)
-                                               for inst in insts],
-                                              enc.schema_ctx[schema.id].data.tolist())
+                                               for inst in insts], a_p)
         npt.assert_allclose(alpha, exp_alpha, atol=1e-9)
 
-        n_schemas = int(rng.integers(1, 5))
-        per = [Tensor(rng.normal(size=(1, d))) for _ in range(n_schemas)]
+        n_schemas, n_nodes = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        per = [Tensor(rng.normal(size=(n_nodes, d))) for _ in range(n_schemas)]
         enc.summary_m["S"].data = rng.normal(size=(d, d))
         enc.summary_b["S"].data = rng.normal(size=d)
-        enc.side_ctx["S"].data = rng.normal(size=d)
-        _, beta = enc._inter_aggregate(per, "S", None)
+        enc.side_ctx["S"].data = rng.normal(size=(d, d))
+        attrs = rng.normal(size=(n_nodes, d))
+        _, beta = enc._inter_aggregate(per, "S", Tensor(attrs))
+        q_rows = [matvec_scalar(enc.side_ctx["S"].data.T.tolist(), row)
+                  for row in attrs.tolist()]
         _, exp_betas = inter_aggregate_scalar([p.data.tolist() for p in per],
                                               enc.summary_m["S"].data.T.tolist(),
-                                              enc.summary_b["S"].data.tolist(),
-                                              enc.side_ctx["S"].data.tolist())
-        npt.assert_allclose(beta[0], exp_betas[0], atol=1e-9)
+                                              enc.summary_b["S"].data.tolist(), q_rows)
+        npt.assert_allclose(beta, exp_betas, atol=1e-9)
 
         scores = rng.normal(size=int(rng.integers(1, 9)))
         got = ad.softmax(Tensor(scores), axis=0).data

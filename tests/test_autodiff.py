@@ -41,7 +41,7 @@ class TestElementwise:
         with pytest.raises(ValueError):
             ad.matmul(Tensor(np.zeros((2, 2, 2))), Tensor(np.zeros((2, 2))))
 
-    @pytest.mark.parametrize("fn", [ad.exp, ad.log, ad.tanh, ad.sigmoid])
+    @pytest.mark.parametrize("fn", [ad.log, ad.tanh, ad.sigmoid])
     def test_unary_gradients(self, fn, rng):
         x = Parameter(rng.uniform(0.2, 1.5, size=(4, 3)))
         fd_check(lambda: ad.tsum(fn(x)), {"x": x})

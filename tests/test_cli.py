@@ -261,29 +261,51 @@ def test_tau_source_flag_and_config(pipeline, tuned_run, tmp_path):
 
 
 @pytest.mark.parametrize("value", [True, False])
-def test_checkpoint_with_retired_config_key_still_loads(pipeline, tmp_path, value):
+def test_checkpoint_with_retired_config_key_still_loads(pipeline, tmp_path, value, capsys):
     # checkpoints written while the exclude_self_edges option existed carry it
-    old = tmp_path / "old.npz"
-    _rewrite_checkpoint_meta(pipeline / "run" / "checkpoint.npz", old,
+    # in the training config; those written while the attention-context mode
+    # existed carry dynamic_context in the model spec and the training config
+    new = pipeline / "run" / "checkpoint.npz"
+    self_edges, context = tmp_path / "self_edges.npz", tmp_path / "context.npz"
+    _rewrite_checkpoint_meta(new, self_edges,
                              lambda meta: meta["train_config"].update(exclude_self_edges=value))
-    for name, ckpt in (("old", old), ("new", pipeline / "run" / "checkpoint.npz")):
+
+    def set_context(meta):
+        meta["model_spec"]["dynamic_context"] = value
+        meta["train_config"]["dynamic_context"] = value
+
+    _rewrite_checkpoint_meta(new, context, set_context)
+    old = {"self_edges": self_edges}
+    if value:
+        old["context"] = context
+    else:
+        # a static-context model is refused, never scored with today's model
+        for command in ("predict", "evaluate"):
+            capsys.readouterr()
+            assert main([command, *_run_args(pipeline, context), "--out-dir",
+                         str(tmp_path / f"context_{command}")]) == 1
+            assert "dynamic_context=false" in capsys.readouterr().err
+            assert not (tmp_path / f"context_{command}").exists()
+    for name, ckpt in (*old.items(), ("new", new)):
         assert main(["predict", *_run_args(pipeline, ckpt), "--out-dir",
                      str(tmp_path / name)]) == 0
         assert main(["evaluate", *_run_args(pipeline, ckpt), "--out-dir",
                      str(tmp_path / f"{name}_eval")]) == 0
-    assert (tmp_path / "old" / "predictions.jsonl").read_text() == \
-        (tmp_path / "new" / "predictions.jsonl").read_text()
-    echo = json.loads((tmp_path / "old" / "effective_config.json").read_text())
-    assert "exclude_self_edges" not in echo
+    for name in old:
+        assert (tmp_path / name / "predictions.jsonl").read_text() == \
+            (tmp_path / "new" / "predictions.jsonl").read_text()
+        echo = json.loads((tmp_path / name / "effective_config.json").read_text())
+        assert "exclude_self_edges" not in echo and "dynamic_context" not in echo
 
 
 @pytest.mark.parametrize("value", [True, False])
 def test_config_file_with_retired_key_rejected(pipeline, tmp_path, value):
-    cfg_path = tmp_path / "old.json"
-    cfg_path.write_text(json.dumps({**CONFIG, "exclude_self_edges": value}))
-    with pytest.raises(SystemExit, match=r"unknown config keys \['exclude_self_edges'\]"):
-        main(["train", "--facts", str(pipeline / "splits" / "train.jsonl"),
-              "--val-facts", str(pipeline / "splits" / "validation.jsonl"),
-              "--hierarchy", str(pipeline / "data" / "hierarchy.json"),
-              "--graph", str(pipeline / "graph" / "graph.json"),
-              "--config", str(cfg_path), "--out-dir", str(tmp_path / "run")])
+    for key in ("exclude_self_edges", "dynamic_context"):
+        cfg_path = tmp_path / f"{key}.json"
+        cfg_path.write_text(json.dumps({**CONFIG, key: value}))
+        with pytest.raises(SystemExit, match=rf"unknown config keys \['{key}'\]"):
+            main(["train", "--facts", str(pipeline / "splits" / "train.jsonl"),
+                  "--val-facts", str(pipeline / "splits" / "validation.jsonl"),
+                  "--hierarchy", str(pipeline / "data" / "hierarchy.json"),
+                  "--graph", str(pipeline / "graph" / "graph.json"),
+                  "--config", str(cfg_path), "--out-dir", str(tmp_path / "run")])

@@ -8,7 +8,6 @@ from lexcite.corpus import (
     HierarchyError,
     PAD_INDEX,
     UNK_INDEX,
-    Vocabulary,
     average_labels_per_doc,
     build_vocab,
     decode_text,
@@ -166,13 +165,6 @@ class TestVocabulary:
     def test_empty_corpus_rejected(self):
         with pytest.raises(CorpusError):
             build_vocab([[]], min_freq=1)
-
-    def test_save_load_roundtrip(self, tmp_path):
-        vocab = build_vocab([["alpha", "beta", "alpha"]], min_freq=1)
-        vocab.save(tmp_path / "vocab.txt")
-        again = Vocabulary.load(tmp_path / "vocab.txt")
-        assert again.tokens == vocab.tokens
-        assert again.freqs == vocab.freqs
 
     def test_pretrained_vector_loading(self, tmp_path):
         vocab = build_vocab([["alpha", "beta"]], min_freq=1)

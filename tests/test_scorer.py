@@ -10,8 +10,8 @@ from oracles import (attention_pool_scalar, fd_gradients, lstm_scalar, matvec_sc
                      max_rel_error)
 
 
-def scorer(rng, n_sections=3, d=4, dynamic=False):
-    return MatchScorer(rng, n_sections, d_prime=d, d_s=d, dynamic_context=dynamic)
+def scorer(rng, n_sections=3, d=4):
+    return MatchScorer(rng, n_sections, d_prime=d, d_s=d)
 
 
 class TestContextualize:
@@ -61,32 +61,36 @@ class TestPoolSections:
         sc = scorer(rng, d=4)
         row = rng.normal(size=4)
         ctx = Tensor(np.tile(row, (5, 1)))
+        facts = Tensor(rng.normal(size=(2, 4)))
         with no_grad():
-            pooled, gamma = sc.pool_sections(ctx, sc.att_ctx)
-        npt.assert_allclose(gamma.data[0], np.full(5, 0.2), atol=1e-12)
-        npt.assert_allclose(pooled.data[0], row, atol=1e-12)
+            pooled, gamma = sc.pool_sections(ctx, sc.fact_context(facts))
+        npt.assert_allclose(gamma.data, np.full((2, 5), 0.2), atol=1e-12)
+        npt.assert_allclose(pooled.data, np.tile(row, (2, 1)), atol=1e-12)
 
     def test_single_section(self, rng):
         sc = scorer(rng, n_sections=1, d=4)
         ctx = Tensor(rng.normal(size=(1, 4)))
+        facts = Tensor(rng.normal(size=(2, 4)))
         with no_grad():
-            pooled, gamma = sc.pool_sections(ctx, sc.att_ctx)
-        npt.assert_allclose(gamma.data, [[1.0]])
-        npt.assert_allclose(pooled.data[0], ctx.data[0])
+            pooled, gamma = sc.pool_sections(ctx, sc.fact_context(facts))
+        npt.assert_allclose(gamma.data, [[1.0], [1.0]])
+        npt.assert_allclose(pooled.data, np.tile(ctx.data[0], (2, 1)))
 
     def test_matches_scalar_oracle(self, rng):
         sc = scorer(rng, d=3)
         vecs = rng.normal(size=(3, 3))
+        facts = rng.normal(size=(2, 3))
         with no_grad():
-            pooled, gamma = sc.pool_sections(Tensor(vecs), sc.att_ctx)
-        expected, weights = attention_pool_scalar(
-            vecs.tolist(), sc.att_m.data.T.tolist(), sc.att_b.data.tolist(),
-            sc.att_ctx.data.tolist())
-        npt.assert_allclose(gamma.data[0], weights, atol=1e-9)
-        npt.assert_allclose(pooled.data[0], expected, atol=1e-9)
+            pooled, gamma = sc.pool_sections(Tensor(vecs), sc.fact_context(Tensor(facts)))
+        for i, h_f in enumerate(facts):
+            expected, weights = attention_pool_scalar(
+                vecs.tolist(), sc.att_m.data.T.tolist(), sc.att_b.data.tolist(),
+                matvec_scalar(sc.att_ctx.data.T.tolist(), h_f.tolist()))
+            npt.assert_allclose(gamma.data[i], weights, atol=1e-9)
+            npt.assert_allclose(pooled.data[i], expected, atol=1e-9)
 
     def test_gamma_sums_to_one(self, rng):
-        sc = scorer(rng, d=4, dynamic=True)
+        sc = scorer(rng, d=4)
         ctx = Tensor(rng.normal(size=(6, 4)))
         facts = Tensor(rng.normal(size=(3, 4)))
         with no_grad():
@@ -142,22 +146,20 @@ class TestDynamicContext:
 
     def test_identity_blocks_tile_embedding(self, rng):
         d = 3
-        sc = scorer(rng, d=d, dynamic=True)
+        sc = scorer(rng, d=d)
         sc.att_ctx.data = np.eye(d)
         h = Tensor(rng.normal(size=(2, d)))
         with no_grad():
             npt.assert_allclose(sc.fact_context(h).data, h.data)
-        static = scorer(rng, d=d, dynamic=False)
-        assert static.fact_context(h) is static.att_ctx
 
     def test_zero_embedding_gives_zero_contexts(self, rng):
-        sc = scorer(rng, d=3, dynamic=True)
+        sc = scorer(rng, d=3)
         with no_grad():
             npt.assert_allclose(sc.fact_context(Tensor(np.zeros((2, 3)))).data, 0.0)
 
     def test_matches_scalar_matvec(self, rng):
         d = 3
-        sc = scorer(rng, d=d, dynamic=True)
+        sc = scorer(rng, d=d)
         h = rng.normal(size=(1, d))
         with no_grad():
             got = sc.fact_context(Tensor(h)).data[0]
@@ -167,7 +169,7 @@ class TestDynamicContext:
 
 class TestScoreTriple:
     def test_inference_has_no_structural_score(self, rng):
-        sc = scorer(rng, n_sections=3, d=4, dynamic=True)
+        sc = scorer(rng, n_sections=3, d=4)
         h_f = Tensor(rng.normal(size=(2, 4)))
         h_attr = Tensor(rng.normal(size=(3, 4)))
         h_struct = Tensor(rng.normal(size=(3, 4)))
@@ -178,7 +180,7 @@ class TestScoreTriple:
         assert triple.alignment.shape == (2, 3)
 
     def test_identical_embeddings_collapse_scores(self, rng):
-        sc = scorer(rng, n_sections=3, d=4, dynamic=True)
+        sc = scorer(rng, n_sections=3, d=4)
         h_f = Tensor(rng.normal(size=(2, 4)))
         h_s = Tensor(rng.normal(size=(3, 4)))
         with no_grad():
@@ -189,7 +191,7 @@ class TestScoreTriple:
     def test_one_parameter_set_serves_all_scores(self, rng):
         # no score-type-specific parameters exist: nudging the shared
         # classifier moves every score
-        sc = scorer(rng, n_sections=3, d=4, dynamic=True)
+        sc = scorer(rng, n_sections=3, d=4)
         names = set(sc.parameters())
         assert not any("attribute" in n or "alignment" in n for n in names)
         h_f = Tensor(rng.normal(size=(1, 4)))
@@ -203,7 +205,7 @@ class TestScoreTriple:
             assert not np.allclose(getattr(before, name).data, getattr(after, name).data)
 
     def test_gradients_match_finite_differences(self, rng):
-        sc = scorer(rng, n_sections=3, d=4, dynamic=True)
+        sc = scorer(rng, n_sections=3, d=4)
         h_f = Parameter(rng.normal(size=(2, 4)))
         h_fs = Parameter(rng.normal(size=(2, 4)))
         h_attr = Parameter(rng.normal(size=(3, 4)))

@@ -13,20 +13,24 @@ from oracles import (fd_gradients, inter_aggregate_scalar, intra_aggregate_scala
 from test_graph import minimal_graph, paper_figure_graph, schema_by_id
 
 
-def make_encoder(rng, graph, d=4, dynamic=False):
-    return MetapathEncoder(rng, graph, default_schemas(), d_node=d, d_prime=d, d_m=d,
-                           dynamic_context=dynamic)
+def make_encoder(rng, graph, d=4):
+    return MetapathEncoder(rng, graph, default_schemas(), d_node=d, d_prime=d, d_m=d)
+
+
+def attr_rows(rng, n, d=4):
+    """Random attribute embeddings for n nodes, the source of every context."""
+    return Tensor(rng.normal(size=(n, d)))
 
 
 def single_schema_encoder(graph, schema, d, seed=0):
-    """A static-context encoder over one schema with identity projections.
+    """An encoder over one schema with identity projections.
 
     A node's feature is then its embedding row, and with one schema the inter
     weight is exactly 1, so encode() returns that schema's pooled vector
     relu(sum_i alpha_i q_i) and return_weights exposes the intra alpha.
     """
     enc = MetapathEncoder(np.random.default_rng(seed), graph, [schema], d_node=d, d_prime=d,
-                          d_m=d, dynamic_context=False)
+                          d_m=d)
     for t in NODE_TYPES:
         enc.node_proj[t].data = np.eye(d)
     return enc
@@ -54,10 +58,17 @@ def rotation_oracle(enc, graph, schema, inst):
     return rotation_encode_scalar([feature(enc, graph, n).tolist() for n in inst.nodes], rels)
 
 
-def encode_one(enc, graph, v, k, seed):
-    """(pooled vector, alpha row) of one node under a single-schema encoder."""
+def encode_one(enc, graph, v, k, seed, attr=None):
+    """(pooled vector, alpha row) of one node under a single-schema encoder.
+
+    `attr` is the node's attribute embedding (d',); by default a normal draw
+    seeded by `seed`.
+    """
+    if attr is None:
+        attr = np.random.default_rng(seed).normal(size=enc.d_prime)
     with no_grad():
-        out, weights = enc.encode(graph, [v], k=k, seed=seed, return_weights=True)
+        out, weights = enc.encode(graph, [v], k=k, seed=seed, attr_embeddings=Tensor(attr[None]),
+                                  return_weights=True)
     (sid,) = enc.schemas
     return out.data[0], weights[f"alpha.{sid}"][0]
 
@@ -85,8 +96,7 @@ class TestNodeFeature:
 
     def test_matches_scalar_matvec(self, rng):
         g = minimal_graph()
-        enc = MetapathEncoder(rng, g, default_schemas(), d_node=2, d_prime=3, d_m=3,
-                              dynamic_context=False)
+        enc = MetapathEncoder(rng, g, default_schemas(), d_node=2, d_prime=3, d_m=3)
         x = enc.node_embed["T"].data[g.type_index[g.global_index("T1")]]
         w = enc.node_proj["T"].data
         got = table_row(enc, g, "T1")
@@ -96,7 +106,7 @@ class TestNodeFeature:
         g = minimal_graph()
         enc = make_encoder(rng, g)
         with pytest.raises(UnknownNodeError), no_grad():
-            enc.encode(g, ["F_unseen"], k=2, seed=0)
+            enc.encode(g, ["F_unseen"], k=2, seed=0, attr_embeddings=attr_rows(rng, 1))
 
 
 class TestEncodeInstance:
@@ -167,7 +177,8 @@ class TestIntraAggregate:
         enc = single_schema_encoder(g, schema, d=4)
         randomize(enc, rng)
         with no_grad():
-            out, weights = enc.encode(g, ["S1", "S2"], k=3, seed=0, return_weights=True)
+            out, weights = enc.encode(g, ["S1", "S2"], k=3, seed=0,
+                                      attr_embeddings=attr_rows(rng, 2), return_weights=True)
         npt.assert_array_equal(out.data[1], 0.0)
         assert weights[f"alpha.{schema.id}"].shape == (1, 3)
 
@@ -176,50 +187,54 @@ class TestIntraAggregate:
         g = paper_figure_graph()
         enc = single_schema_encoder(g, schema, d=3)
         randomize(enc, rng)
-        enc.schema_ctx[schema.id].data = rng.normal(size=6)
+        enc.schema_ctx[schema.id].data = rng.normal(size=(3, 6))
+        attr = rng.normal(size=3)
         insts = g.sample_instances("S1", schema, k=3, seed=2)
-        out, alpha = encode_one(enc, g, "S1", k=3, seed=2)
+        out, alpha = encode_one(enc, g, "S1", k=3, seed=2, attr=attr)
         exp_out, exp_alpha = intra_aggregate_scalar(
             feature(enc, g, "S1").tolist(),
             [rotation_oracle(enc, g, schema, inst) for inst in insts],
-            enc.schema_ctx[schema.id].data.tolist())
+            matvec_scalar(enc.schema_ctx[schema.id].data.T.tolist(), attr.tolist()))
         npt.assert_allclose(alpha, exp_alpha, atol=1e-9)
         npt.assert_allclose(out, exp_out, atol=1e-9)
 
 
 def inter_encoder(d, d_m, rng):
-    """Static-context encoder with random inter-aggregation parameters."""
+    """Encoder with random inter-aggregation parameters."""
     enc = MetapathEncoder(np.random.default_rng(0), paper_figure_graph(), default_schemas(),
-                          d_node=d, d_prime=d, d_m=d_m, dynamic_context=False)
+                          d_node=d, d_prime=d, d_m=d_m)
     enc.summary_m["S"] = Parameter(rng.normal(size=(d, d_m)))
     enc.summary_b["S"] = Parameter(rng.normal(size=d_m))
-    enc.side_ctx["S"] = Parameter(rng.normal(size=d_m))
+    enc.side_ctx["S"] = Parameter(rng.normal(size=(d, d_m)))
     return enc
 
 
 class TestInterAggregate:
     def test_identical_summaries_quarter_weights(self, rng):
         enc = inter_encoder(3, 2, rng)
-        h = Tensor(rng.normal(size=(1, 3)))
-        out, beta = enc._inter_aggregate([h, h, h, h], "S", None)
-        npt.assert_allclose(beta, [[0.25] * 4])
+        h = Tensor(rng.normal(size=(2, 3)))
+        out, beta = enc._inter_aggregate([h, h, h, h], "S", attr_rows(rng, 2, 3))
+        npt.assert_allclose(beta, [[0.25] * 4] * 2)
         npt.assert_allclose(out.data, h.data, atol=1e-12)
 
     def test_single_schema(self, rng):
         enc = inter_encoder(3, 2, rng)
-        h = Tensor(rng.normal(size=(1, 3)))
-        out, beta = enc._inter_aggregate([h], "S", None)
-        npt.assert_allclose(beta, [[1.0]])
+        h = Tensor(rng.normal(size=(2, 3)))
+        out, beta = enc._inter_aggregate([h], "S", attr_rows(rng, 2, 3))
+        npt.assert_allclose(beta, [[1.0], [1.0]])
         npt.assert_allclose(out.data, h.data)
 
     def test_matches_scalar_oracle_two_schemas(self, rng):
         n, d, d_m = 3, 2, 2
         per_schema_t = [Tensor(rng.normal(size=(n, d))) for _ in range(2)]
         enc = inter_encoder(d, d_m, rng)
-        out, beta = enc._inter_aggregate(per_schema_t, "S", None)
+        attr = attr_rows(rng, n, d)
+        out, beta = enc._inter_aggregate(per_schema_t, "S", attr)
+        q_rows = [matvec_scalar(enc.side_ctx["S"].data.T.tolist(), row)
+                  for row in attr.data.tolist()]
         exp_outs, exp_betas = inter_aggregate_scalar(
             [t.data.tolist() for t in per_schema_t], enc.summary_m["S"].data.T.tolist(),
-            enc.summary_b["S"].data.tolist(), enc.side_ctx["S"].data.tolist())
+            enc.summary_b["S"].data.tolist(), q_rows)
         npt.assert_allclose(out.data, exp_outs, atol=1e-9)
         npt.assert_allclose(beta, exp_betas, atol=1e-9)
 
@@ -235,49 +250,13 @@ class TestEncodeNode:
         # S1 has no fact citations: S-ctb-F-ct-S empty; S-po-T-inc-S gives S1-T1-S1
         enc = make_encoder(rng, g)
         with no_grad():
-            out = enc.encode(g, ["S1"], k=2, seed=0)
+            out = enc.encode(g, ["S1"], k=2, seed=0, attr_embeddings=attr_rows(rng, 1))
         assert np.isfinite(out.data).all()
-
-    def test_encode_composition_matches_scalar_chain(self, rng):
-        # full scalar recomputation: sampling -> rotation -> intra -> inter
-        g = paper_figure_graph()
-        d = 3
-        enc = MetapathEncoder(rng, g, default_schemas(), d_node=d, d_prime=d, d_m=d,
-                              dynamic_context=False)
-        sections = g.type_ids("S")
-        k, seed = 2, 11
-        with no_grad():
-            got = enc.encode(g, sections, k=k, seed=seed).data
-
-        tables = {t: enc.node_embed[t].data @ enc.node_proj[t].data for t in "ACTSF"}
-
-        def feature(node):
-            gi = g.global_index(node)
-            return tables[g.node_type[gi]][g.type_index[gi]].tolist()
-
-        rels = {r: enc.relation_vecs.data[enc.rel_index[r]].tolist() for r in enc.rel_index}
-        per_schema = []
-        for schema in (s for s in default_schemas() if s.side == "section"):
-            vecs = []
-            for v in sections:
-                insts = g.sample_instances(v, schema, k=k, seed=seed)
-                enc_list = [rotation_encode_scalar([feature(n) for n in inst.nodes],
-                                                   [rels[r] for r in schema.relations])
-                            for inst in insts]
-                a_p = enc.schema_ctx[schema.id].data.tolist()
-                pooled, _ = intra_aggregate_scalar(feature(v), enc_list, a_p)
-                vecs.append(pooled)
-            per_schema.append(vecs)
-        expected, _ = inter_aggregate_scalar(per_schema, enc.summary_m["S"].data.T.tolist(),
-                                             enc.summary_b["S"].data.tolist(),
-                                             enc.side_ctx["S"].data.tolist())
-        npt.assert_allclose(got, expected, atol=1e-9)
 
     def test_dynamic_context_composition(self, rng):
         g = paper_figure_graph()
         d = 3
-        enc = MetapathEncoder(rng, g, default_schemas(), d_node=d, d_prime=d, d_m=d,
-                              dynamic_context=True)
+        enc = MetapathEncoder(rng, g, default_schemas(), d_node=d, d_prime=d, d_m=d)
         sections = g.type_ids("S")
         attr = Tensor(rng.normal(size=(len(sections), d)))
         k, seed = 2, 5
@@ -299,11 +278,13 @@ class TestEncodeNode:
                 enc_list = [rotation_encode_scalar([feature(n) for n in inst.nodes],
                                                    [rels[r] for r in schema.relations])
                             for inst in insts]
-                a_p = (attr.data[vi] @ enc.schema_ctx[schema.id].data).tolist()
+                a_p = matvec_scalar(enc.schema_ctx[schema.id].data.T.tolist(),
+                                    attr.data[vi].tolist())
                 pooled, _ = intra_aggregate_scalar(feature(v), enc_list, a_p)
                 vecs.append(pooled)
             per_schema.append(vecs)
-        q_rows = (attr.data @ enc.side_ctx["S"].data).tolist()
+        q_rows = [matvec_scalar(enc.side_ctx["S"].data.T.tolist(), row)
+                  for row in attr.data.tolist()]
         expected, _ = inter_aggregate_scalar(per_schema, enc.summary_m["S"].data.T.tolist(),
                                              enc.summary_b["S"].data.tolist(), q_rows)
         npt.assert_allclose(got, expected, atol=1e-9)
@@ -311,8 +292,11 @@ class TestEncodeNode:
     def test_attention_weights_normalized(self, rng):
         g = paper_figure_graph()
         enc = make_encoder(rng, g)
+        sections = g.type_ids("S")
         with no_grad():
-            _, weights = enc.encode(g, g.type_ids("S"), k=3, seed=0, return_weights=True)
+            _, weights = enc.encode(g, sections, k=3, seed=0,
+                                    attr_embeddings=attr_rows(rng, len(sections)),
+                                    return_weights=True)
         for key, alpha in weights.items():
             if key.startswith("alpha."):
                 npt.assert_allclose(alpha.sum(axis=1), 1.0, atol=1e-12)
@@ -320,23 +304,31 @@ class TestEncodeNode:
 
     def test_bit_identical_across_runs(self, rng):
         g = paper_figure_graph()
-        enc = make_encoder(rng, g, dynamic=False)
+        enc = make_encoder(rng, g)
+        sections = g.type_ids("S")
+        attr = attr_rows(rng, len(sections))
         with no_grad():
-            a = enc.encode(g, g.type_ids("S"), k=4, seed=9).data
-            b = enc.encode(g, g.type_ids("S"), k=4, seed=9).data
+            a = enc.encode(g, sections, k=4, seed=9, attr_embeddings=attr).data
+            b = enc.encode(g, sections, k=4, seed=9, attr_embeddings=attr).data
         npt.assert_array_equal(a, b)
 
     def test_unknown_node_rejected(self, rng):
         g = paper_figure_graph()
         enc = make_encoder(rng, g)
         with pytest.raises(UnknownNodeError):
-            enc.encode(g, ["F_test_99"], k=2, seed=0)
+            enc.encode(g, ["F_test_99"], k=2, seed=0, attr_embeddings=attr_rows(rng, 1))
+
+    def test_missing_attribute_embeddings_rejected(self, rng):
+        # every attention context is derived from them; there is no fallback
+        g = paper_figure_graph()
+        enc = make_encoder(rng, g)
+        with pytest.raises(ValueError, match="attribute embeddings"), no_grad():
+            enc.encode(g, g.type_ids("S"), k=2, seed=0)
 
     def test_gradients_match_finite_differences(self, rng):
         g = paper_figure_graph()  # 10 nodes
         d = 4
-        enc = MetapathEncoder(rng, g, default_schemas(), d_node=d, d_prime=d, d_m=d,
-                              dynamic_context=True)
+        enc = MetapathEncoder(rng, g, default_schemas(), d_node=d, d_prime=d, d_m=d)
         attr = Parameter(rng.normal(size=(3, d)) * 0.5)
         params = dict(enc.parameters())
         params["attr"] = attr

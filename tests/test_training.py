@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -9,7 +11,7 @@ from lexcite.autodiff import Parameter, Tensor
 from lexcite.corpus import build_vocab, load_facts, load_hierarchy
 from lexcite.graph import build_citation_graph
 from lexcite.han import TextEncoder
-from lexcite.model import Model
+from lexcite.model import Model, ModelSpec
 from lexcite.split import SplitSpec, iterative_stratified_split
 from lexcite.synth import write_synth
 from lexcite.training import (DivergenceError, Predictor, TrainingConfig, citation_frequencies,
@@ -163,10 +165,28 @@ class TestConfigValidation:
     @pytest.mark.parametrize("bad", [
         {"tau": 0.0}, {"tau": 1.0}, {"eta": 0.5}, {"lr": 0.5}, {"lr": 1e-9},
         {"theta_a": -1.0}, {"lambda_a": 0.0, "lambda_l": 0.0}, {"weighting": "nope"},
+        {"dropout": -0.5}, {"dropout": 1.0}, {"dropout": 1.5},
+        {"batch_size": 0}, {"batch_size": -3},
     ])
     def test_invalid_configs_rejected(self, bad):
         with pytest.raises(ValueError):
             TrainingConfig(**bad)
+
+    def test_dropout_and_batch_size_edges_accepted(self):
+        cfg = TrainingConfig(dropout=0.0, batch_size=1)
+        assert (cfg.dropout, cfg.batch_size) == (0.0, 1)
+
+    def test_model_spec_copies_every_architecture_field(self):
+        # ModelSpec and TrainingConfig both record the architecture; every
+        # spec field must exist in the config and be copied by model_spec()
+        config_fields = {f.name for f in fields(TrainingConfig)}
+        spec_fields = [f.name for f in fields(ModelSpec)]
+        assert set(spec_fields) <= config_fields
+        non_default = dict(embed_dim=7, d_prime=9, d_node=11, d_m=13, d_s=15, dropout=0.25,
+                           structural="lookup")
+        assert set(non_default) == set(spec_fields)
+        spec = TrainingConfig(**non_default).model_spec()
+        assert {name: getattr(spec, name) for name in spec_fields} == non_default
 
     def test_ablations(self):
         cfg = TrainingConfig(**TINY)
