@@ -13,8 +13,9 @@ import numpy as np
 from lexcite.autodiff import no_grad
 from lexcite.corpus import build_vocab, encode_corpus, load_facts, load_hierarchy
 from lexcite.graph import build_citation_graph
-from lexcite.model import Model, ModelSpec
+from lexcite.model import Model
 from lexcite.synth import write_synth
+from lexcite.training import TrainingConfig
 
 workdir = Path(tempfile.mkdtemp(prefix="lexcite_demo_"))
 facts_path, hier_path = write_synth(workdir, n_docs=30, n_sections=5, seed=1)
@@ -23,8 +24,8 @@ docs = load_facts(facts_path, hierarchy)
 graph = build_citation_graph(docs, hierarchy)
 vocab = build_vocab([d.tokens() for d in docs] + [s.tokens() for s in hierarchy.sections])
 
-spec = ModelSpec(embed_dim=16, d_prime=16, d_node=16, d_m=16, d_s=16, dropout=0.0)
-model = Model(np.random.default_rng(0), spec, len(vocab), graph, hierarchy.section_ids)
+config = TrainingConfig(embed_dim=16, d_prime=16, d_node=16, d_m=16, d_s=16, dropout=0.0)
+model = Model(np.random.default_rng(0), config, len(vocab), graph, hierarchy.section_ids)
 print(f"model has {sum(p.data.size for p in model.parameters().values())} parameters\n")
 
 # --- hierarchical attention text encoder ------------------------------------------

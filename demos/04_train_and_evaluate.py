@@ -37,7 +37,7 @@ weights = class_weights(freqs, len(train), config)
 print("citation counts:", freqs.tolist())
 print("capped class weights:", [round(w, 1) for w in weights], "\n")
 
-model = Model(np.random.default_rng(config.seed), config.model_spec(), len(vocab), graph,
+model = Model(np.random.default_rng(config.seed), config, len(vocab), graph,
               hierarchy.section_ids)
 result = train_model(model, graph, train, val, hierarchy, vocab, config,
                      log_hook=lambda r: print(f"  epoch {r['epoch']:2d}  "

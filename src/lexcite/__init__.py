@@ -9,19 +9,19 @@ from .corpus import (FactDocument, Statute, StatuteHierarchy, Vocabulary, build_
 from .graph import (HeteroGraph, MetapathInstance, MetapathSchema, build_citation_graph,
                     default_schemas)
 from .metrics import EvalReport, evaluate_predictions, macro_prf, mean_jaccard
-from .model import Model, ModelSpec, load_checkpoint, save_checkpoint
+from .model import Model
 from .scorer import MatchScorer, ScoreTriple
 from .split import SplitSpec, iterative_stratified_split
 from .synth import synth_corpus, write_synth
 from .training import (Predictor, TrainingConfig, class_weights_tws, class_weights_vws,
-                       combined_loss, predict_corpus, train_model, tune_threshold,
-                       weighted_bce)
+                       combined_loss, load_checkpoint, predict_corpus, save_checkpoint,
+                       train_model, tune_threshold, weighted_bce)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "EvalReport", "FactDocument", "HeteroGraph", "MatchScorer", "MetapathInstance",
-    "MetapathSchema", "Model", "ModelSpec", "Predictor", "ScoreTriple", "SplitSpec",
+    "MetapathSchema", "Model", "Predictor", "ScoreTriple", "SplitSpec",
     "Statute", "StatuteHierarchy", "TrainingConfig", "Vocabulary", "build_citation_graph",
     "build_vocab", "class_weights_tws", "class_weights_vws", "combined_loss",
     "default_schemas", "encode_text", "evaluate_predictions", "iterative_stratified_split",

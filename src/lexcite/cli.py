@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,11 +20,11 @@ import numpy as np
 from .corpus import (CorpusError, build_vocab, load_facts_with_report, load_hierarchy)
 from .graph import HeteroGraph, build_citation_graph
 from .metrics import evaluate_predictions
-from .model import Model, load_checkpoint, save_checkpoint
+from .model import Model
 from .split import SplitSpec, iterative_stratified_split, split_report
 from .synth import write_synth
-from .training import (Predictor, TrainingConfig, citation_frequencies, export_config,
-                       predict_corpus, train_model, tune_threshold)
+from .training import (Predictor, TrainingConfig, citation_frequencies, load_checkpoint,
+                       predict_corpus, save_checkpoint, train_model, tune_threshold)
 
 SPLIT_ROLES = ("train", "validation", "test")
 
@@ -89,12 +89,11 @@ def cmd_synth(args) -> int:
     _echo_and_store(args.out_dir, "synth", {
         "n_docs": args.n_docs, "n_sections": args.n_sections, "seed": args.seed,
         "n_topics": args.n_topics, "topic_coherence": args.topic_coherence,
-        "skew": args.skew, "section_kw_share": args.section_kw_share,
-        "dilute_rare": args.dilute_rare,
+        "skew": args.skew, "dilute_rare": args.dilute_rare,
     })
     facts, hierarchy = write_synth(args.out_dir, args.n_docs, args.n_sections, args.seed,
                                    args.n_topics, args.topic_coherence, args.skew,
-                                   args.section_kw_share, args.dilute_rare)
+                                   args.dilute_rare)
     print(f"wrote {facts} and {hierarchy}")
     return 0
 
@@ -116,7 +115,7 @@ def cmd_split(args) -> int:
     with Path(args.facts).open(encoding="utf-8") as fh:
         for line in fh:
             if line.strip():
-                raw_lines[json.loads(line)["id"]] = line.rstrip("\n")
+                raw_lines[str(json.loads(line)["id"])] = line.rstrip("\n")
     for role, fold in zip(SPLIT_ROLES, folds):
         path = args.out_dir / f"{role}.jsonl"
         with path.open("w", encoding="utf-8") as fh:
@@ -151,7 +150,7 @@ def cmd_build_graph(args) -> int:
 def cmd_train(args) -> int:
     config, ablation = _resolve_config(args)
     _check_role(args.facts, "train")
-    _echo_and_store(args.out_dir, "train", {**export_config(config), "ablation": ablation,
+    _echo_and_store(args.out_dir, "train", {**asdict(config), "ablation": ablation,
                                             "facts": str(args.facts), "val_facts": str(args.val_facts),
                                             "graph": str(args.graph)})
     hierarchy = load_hierarchy(args.hierarchy)
@@ -167,7 +166,7 @@ def cmd_train(args) -> int:
         print(f"initialized {int(pretrained_mask.sum())}/{len(vocab)} embeddings "
               f"from {args.vectors}")
     rng = np.random.default_rng(config.seed)
-    model = Model(rng, config.model_spec(), len(vocab), graph, hierarchy.section_ids,
+    model = Model(rng, config, len(vocab), graph, hierarchy.section_ids,
                   pretrained=pretrained, pretrained_mask=pretrained_mask)
 
     log_path = args.out_dir / "train_log.jsonl"
@@ -187,7 +186,7 @@ def cmd_train(args) -> int:
     else:
         tuned = None
     checkpoint = args.out_dir / "checkpoint.npz"
-    save_checkpoint(checkpoint, model, vocab, export_config(config),
+    save_checkpoint(checkpoint, model, vocab,
                     extra={"ablation": ablation, "best_epoch": result.best_epoch,
                            "best_val_macro_f1": result.best_val_f1, "tuned_tau": tuned})
     print(f"best epoch {result.best_epoch} val macro-F1 {result.best_val_f1:.2f}")
@@ -200,20 +199,13 @@ def _restore(args):
     the tau tuned by `train --tune-threshold`, else the training config's."""
     graph = HeteroGraph.load(args.graph)
     model, vocab, meta = load_checkpoint(args.checkpoint, graph)
-    # Checkpoints written by older versions may name options that have since
-    # been removed: the self-edge walk flag and the attention-context mode.
-    # Scoring drops them from the training config; load_checkpoint has
-    # already refused a model built with static contexts.
-    known = {f.name for f in fields(TrainingConfig)}
-    values = {k: v for k, v in meta["train_config"].items() if k in known}
     tuned = meta["extra"].get("tuned_tau")
     if args.tau is not None:
-        values["tau"], tau_source = args.tau, "flag"
+        config, tau_source = replace(model.config, tau=args.tau), "flag"
     elif tuned is not None:
-        values["tau"], tau_source = tuned, "checkpoint"
+        config, tau_source = replace(model.config, tau=tuned), "checkpoint"
     else:
-        tau_source = "config"
-    config = TrainingConfig(**values)
+        config, tau_source = model.config, "config"
     hierarchy = load_hierarchy(args.hierarchy)
     if hierarchy.section_ids != model.section_ids:
         raise SystemExit("error: hierarchy file does not match the checkpoint's section order")
@@ -222,7 +214,7 @@ def _restore(args):
 
 def cmd_evaluate(args) -> int:
     graph, model, vocab, config, tau_source, hierarchy = _restore(args)
-    _echo_and_store(args.out_dir, "evaluate", {**export_config(config), "tau_source": tau_source,
+    _echo_and_store(args.out_dir, "evaluate", {**asdict(config), "tau_source": tau_source,
                                                "checkpoint": str(args.checkpoint),
                                                "facts": str(args.facts)})
     docs = _load_corpus(args.facts, hierarchy)
@@ -239,7 +231,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_predict(args) -> int:
     graph, model, vocab, config, tau_source, hierarchy = _restore(args)
-    _echo_and_store(args.out_dir, "predict", {**export_config(config), "tau_source": tau_source,
+    _echo_and_store(args.out_dir, "predict", {**asdict(config), "tau_source": tau_source,
                                               "checkpoint": str(args.checkpoint),
                                               "facts": str(args.facts)})
     docs = _load_corpus(args.facts, hierarchy)
@@ -272,8 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--topic-coherence", type=float, default=0.85)
     p.add_argument("--skew", type=float, default=1.0,
                    help="citation-popularity exponent (higher = rarer tail)")
-    p.add_argument("--section-kw-share", type=float, default=0.5,
-                   help="fraction of content words from the cited section's pool")
     p.add_argument("--dilute-rare", type=float, default=0.0,
                    help="fraction of rare-half section keywords replaced by topic keywords")
     p.add_argument("--seed", type=int, default=0, help="random seed")

@@ -1,5 +1,5 @@
 """The complete fact-to-statute model: text encoder + structural encoder +
-shared scorer, with checkpointing.
+shared scorer.
 
 Training forward passes score a batch of facts against the full section set
 three ways (attribute, structural, alignment). Inference drops everything
@@ -9,56 +9,41 @@ sections' graph-derived embeddings, which is what makes prediction inductive.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, no_grad
-from .corpus import Vocabulary
 from .graph import HeteroGraph, default_schemas
 from .han import TextEncoder, trim_to_extent
 from .scorer import MatchScorer, ScoreTriple
 from .structural import LookupEncoder, MetapathEncoder
 
-CHECKPOINT_FORMAT_VERSION = 1
-
-
-@dataclass
-class ModelSpec:
-    """Architecture hyperparameters (training schedule lives elsewhere)."""
-
-    embed_dim: int = 200
-    d_prime: int = 200
-    d_node: int = 200
-    d_m: int = 200
-    d_s: int = 200
-    dropout: float = 0.5
-    structural: str = "metapath"  # or "lookup"
-
-    def __post_init__(self):
-        if self.structural not in ("metapath", "lookup"):
-            raise ValueError(f"unknown structural encoder {self.structural!r}")
+if TYPE_CHECKING:
+    from .training import TrainingConfig
 
 
 class Model:
-    def __init__(self, rng: np.random.Generator, spec: ModelSpec, vocab_size: int,
+    """Built from the architecture fields of a TrainingConfig (embed_dim,
+    d_prime, d_node, d_m, d_s, dropout, structural), kept as `config`."""
+
+    def __init__(self, rng: np.random.Generator, config: TrainingConfig, vocab_size: int,
                  graph: HeteroGraph, section_ids: list[str],
                  pretrained: np.ndarray | None = None,
                  pretrained_mask: np.ndarray | None = None):
-        self.spec = spec
+        self.config = config
         self.section_ids = list(section_ids)
         self.schemas = default_schemas()
-        self.text_encoder = TextEncoder(rng, vocab_size, spec.embed_dim, spec.d_prime,
-                                        dropout=spec.dropout, pretrained=pretrained,
+        self.text_encoder = TextEncoder(rng, vocab_size, config.embed_dim, config.d_prime,
+                                        dropout=config.dropout, pretrained=pretrained,
                                         pretrained_mask=pretrained_mask)
-        if spec.structural == "metapath":
-            self.struct_encoder = MetapathEncoder(rng, graph, self.schemas, spec.d_node,
-                                                  spec.d_prime, spec.d_m)
+        if config.structural == "metapath":
+            self.struct_encoder = MetapathEncoder(rng, graph, self.schemas, config.d_node,
+                                                  config.d_prime, config.d_m)
         else:
-            self.struct_encoder = LookupEncoder(rng, graph, spec.d_prime)
-        self.scorer = MatchScorer(rng, len(section_ids), spec.d_prime, spec.d_s)
+            self.struct_encoder = LookupEncoder(rng, graph, config.d_prime)
+        self.scorer = MatchScorer(rng, len(section_ids), config.d_prime, config.d_s)
 
     def parameters(self) -> dict[str, Tensor]:
         params = {}
@@ -115,7 +100,7 @@ class Model:
             o_attr, o_align = self.scorer.score_sections(h_f, state)
             return o_attr.data[0], o_align.data[0]
 
-    # -- checkpointing --------------------------------------------------------------
+    # -- parameter state ----------------------------------------------------------
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.parameters().items()}
@@ -129,41 +114,4 @@ class Model:
             if p.data.shape != state[name].shape:
                 raise ValueError(f"shape mismatch for {name}")
             p.data = state[name].astype(np.float64).copy()
-
-
-def save_checkpoint(path, model: Model, vocab: Vocabulary, train_config: dict,
-                    extra: dict | None = None):
-    meta = {
-        "format_version": CHECKPOINT_FORMAT_VERSION,
-        "model_spec": asdict(model.spec),
-        "section_ids": model.section_ids,
-        "vocab_tokens": vocab.tokens[2:],
-        "vocab_freqs": [vocab.freqs[t] for t in vocab.tokens[2:]],
-        "train_config": train_config,
-        "extra": extra or {},
-    }
-    arrays = {f"param.{k}": v for k, v in model.state_arrays().items()}
-    np.savez_compressed(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-                        **arrays)
-
-
-def load_checkpoint(path, graph: HeteroGraph):
-    with np.load(path) as blob:
-        meta = json.loads(bytes(blob["__meta__"]).decode())
-        if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-            raise ValueError(f"unsupported checkpoint format {meta.get('format_version')!r}")
-        arrays = {k[len("param."):]: blob[k] for k in blob.files if k.startswith("param.")}
-    vocab = Vocabulary(meta["vocab_tokens"],
-                       dict(zip(meta["vocab_tokens"], meta["vocab_freqs"])))
-    spec_values = dict(meta["model_spec"])
-    # Older checkpoints name the retired attention-context mode. Only its
-    # attribute-derived setting matches today's parameter shapes; a
-    # static-context checkpoint is refused.
-    if not spec_values.pop("dynamic_context", True):
-        raise ValueError("checkpoint was trained with dynamic_context=false (static attention "
-                         "contexts), which is no longer supported")
-    spec = ModelSpec(**spec_values)
-    model = Model(np.random.default_rng(0), spec, len(vocab), graph, meta["section_ids"])
-    model.load_state_arrays(arrays)
-    return model, vocab, meta
 

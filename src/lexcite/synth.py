@@ -18,6 +18,7 @@ import numpy as np
 from .corpus import COURTS
 
 KEYWORDS_PER_SECTION = 6
+SECTION_KW_SHARE = 0.5  # fraction of content words from the cited section's own pool
 KEYWORDS_PER_TOPIC = 4
 NOISE_TOKENS = 30
 LABEL_COUNT_DIST = ((1, 0.2), (2, 0.3), (3, 0.3), (4, 0.2))  # mean 2.5
@@ -59,17 +60,14 @@ def synth_hierarchy(n_sections: int, n_topics: int | None = None) -> dict:
 
 
 def synth_corpus(n_docs: int, n_sections: int, seed: int, n_topics: int | None = None,
-                 topic_coherence: float = 0.85, skew: float = 1.0,
-                 section_kw_share: float = 0.5, dilute_rare: float = 0.0):
+                 topic_coherence: float = 0.85, skew: float = 1.0, dilute_rare: float = 0.0):
     """Returns (fact records, hierarchy document).
 
     `skew` steepens citation popularity (weight (1 + rank)^-skew); larger
-    values produce longer rare-section tails. `section_kw_share` is the
-    fraction of content words drawn from the cited section's own pool;
-    lowering it makes sections of one topic harder to tell apart by text.
-    `dilute_rare` replaces that fraction of the less-cited half's keywords
-    with topic keywords, so rare sections are textually faint and mainly
-    recognizable through what they are co-cited with.
+    values produce longer rare-section tails. `dilute_rare` replaces that
+    fraction of the less-cited half's keywords with topic keywords, so rare
+    sections are textually faint and mainly recognizable through what they
+    are co-cited with.
     """
     if n_docs < 1:
         raise ValueError("need at least one document")
@@ -123,12 +121,12 @@ def synth_corpus(n_docs: int, n_sections: int, seed: int, n_topics: int | None =
             for _ in range(int(rng.integers(1, 3))):
                 n_words = int(rng.integers(6, 11))
                 words = []
-                topic_share = section_kw_share + 0.2
+                topic_share = SECTION_KW_SHARE + 0.2
                 faint = dilute_rare if rank[sid] >= rare_cut else 0.0
                 for _ in range(n_words):
                     roll = rng.random()
                     tk = topic_keywords[section_topic[sid]]
-                    if roll < section_kw_share:
+                    if roll < SECTION_KW_SHARE:
                         if faint and rng.random() < faint:
                             words.append(tk[int(rng.integers(len(tk)))])
                         else:
@@ -152,13 +150,12 @@ def synth_corpus(n_docs: int, n_sections: int, seed: int, n_topics: int | None =
 
 def write_synth(out_dir, n_docs: int, n_sections: int, seed: int,
                 n_topics: int | None = None, topic_coherence: float = 0.85,
-                skew: float = 1.0, section_kw_share: float = 0.5,
-                dilute_rare: float = 0.0):
+                skew: float = 1.0, dilute_rare: float = 0.0):
     """Write facts.jsonl + hierarchy.json under out_dir; returns the paths."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     records, hierarchy = synth_corpus(n_docs, n_sections, seed, n_topics, topic_coherence,
-                                      skew, section_kw_share, dilute_rare)
+                                      skew, dilute_rare)
     facts_path = out_dir / "facts.jsonl"
     with facts_path.open("w", encoding="utf-8") as fh:
         for rec in records:

@@ -1,5 +1,5 @@
-"""Weighted multi-label training loop, class weighting, thresholding and
-inductive prediction.
+"""Weighted multi-label training loop, class weighting, thresholding,
+inductive prediction and checkpointing.
 
 Loss per score type is a weighted binary cross entropy over all sections,
 normalized by batch size only; the three losses are mixed linearly. Positive
@@ -9,7 +9,8 @@ vanilla scheme (n_docs / freq) or the capped scheme (min(f_max / freq, eta)).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+import json
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -19,10 +20,11 @@ from .autodiff import Tensor
 from .corpus import FactDocument, StatuteHierarchy, Vocabulary, encode_corpus, encode_text
 from .graph import HeteroGraph
 from .metrics import macro_prf
-from .model import Model, ModelSpec
+from .model import Model
 
 SCORE_EPS = 1e-7
 DEFAULT_THRESHOLD_GRID = tuple(round(0.05 * i, 2) for i in range(1, 20))
+CHECKPOINT_FORMAT_VERSION = 1
 
 
 class DivergenceError(RuntimeError):
@@ -75,11 +77,10 @@ class TrainingConfig:
             raise ValueError("dropout must lie in [0, 1)")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-
-    def model_spec(self) -> ModelSpec:
-        return ModelSpec(embed_dim=self.embed_dim, d_prime=self.d_prime, d_node=self.d_node,
-                         d_m=self.d_m, d_s=self.d_s, dropout=self.dropout,
-                         structural=self.structural)
+        if self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
+        if self.structural not in ("metapath", "lookup"):
+            raise ValueError(f"unknown structural encoder {self.structural!r}")
 
     def with_ablation(self, ablation: str) -> "TrainingConfig":
         """full: unchanged; E: lookup-table structural encoder; S: no
@@ -314,5 +315,41 @@ def train_model(model: Model, graph: HeteroGraph, train_docs: list[FactDocument]
     return result
 
 
-def export_config(config: TrainingConfig) -> dict:
-    return asdict(config)
+# -- checkpointing ------------------------------------------------------------------
+
+
+def save_checkpoint(path, model: Model, vocab: Vocabulary, extra: dict | None = None):
+    """Parameters, vocabulary and the model's training config, stored once."""
+    meta = {
+        "format_version": CHECKPOINT_FORMAT_VERSION,
+        "section_ids": model.section_ids,
+        "vocab_tokens": vocab.tokens[2:],
+        "vocab_freqs": [vocab.freqs[t] for t in vocab.tokens[2:]],
+        "train_config": asdict(model.config),
+        "extra": extra or {},
+    }
+    arrays = {f"param.{k}": v for k, v in model.state_arrays().items()}
+    np.savez_compressed(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+                        **arrays)
+
+
+def load_checkpoint(path, graph: HeteroGraph):
+    with np.load(path) as blob:
+        meta = json.loads(bytes(blob["__meta__"]).decode())
+        if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
+            raise ValueError(f"unsupported checkpoint format {meta.get('format_version')!r}")
+        arrays = {k[len("param."):]: blob[k] for k in blob.files if k.startswith("param.")}
+    vocab = Vocabulary(meta["vocab_tokens"],
+                       dict(zip(meta["vocab_tokens"], meta["vocab_freqs"])))
+    # Older checkpoints also store a second copy of the architecture and name
+    # retired options; both are dropped. Of the retired attention-context
+    # modes only the attribute-derived one matches today's parameter shapes.
+    values = meta["train_config"]
+    if not values.get("dynamic_context", True):
+        raise ValueError("checkpoint was trained with dynamic_context=false (static attention "
+                         "contexts), which is no longer supported")
+    known = {f.name for f in fields(TrainingConfig)}
+    config = TrainingConfig(**{k: v for k, v in values.items() if k in known})
+    model = Model(np.random.default_rng(0), config, len(vocab), graph, meta["section_ids"])
+    model.load_state_arrays(arrays)
+    return model, vocab, meta

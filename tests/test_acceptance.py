@@ -56,7 +56,7 @@ def synth500(tmp_path_factory):
     graph = build_citation_graph(train, hierarchy)
     vocab = build_vocab([d.tokens() for d in train] + [s.tokens() for s in hierarchy.sections])
     config = TrainingConfig.desk_scale(seed=0)
-    model = Model(np.random.default_rng(config.seed), config.model_spec(), len(vocab), graph,
+    model = Model(np.random.default_rng(config.seed), config, len(vocab), graph,
                   hierarchy.section_ids)
     result = train_model(model, graph, train, val, hierarchy, vocab, config)
     predictor = Predictor(model, graph, hierarchy, vocab, config)
@@ -82,7 +82,7 @@ def test_criterion_1_gradient_fidelity(tmp_path):
     cfg = TrainingConfig(d_prime=8, d_node=8, d_m=8, d_s=8, embed_dim=8, max_sents=3,
                          max_words=6, k_instances=2, batch_size=4, dropout=0.0, epochs=1,
                          lr=1e-3, seed=0)
-    model = Model(np.random.default_rng(0), cfg.model_spec(), len(vocab), graph,
+    model = Model(np.random.default_rng(0), cfg, len(vocab), graph,
                   hierarchy.section_ids)
     grids, masks = encode_corpus(docs, vocab, cfg.max_sents, cfg.max_words)
     sec_grids, sec_masks = encode_corpus(hierarchy.sections, vocab, cfg.max_sents, cfg.max_words)
@@ -333,7 +333,7 @@ def test_criterion_5_ablation_direction(tmp_path):
                                  d_s=32, embed_dim=32, max_sents=8, max_words=16,
                                  k_instances=8, batch_size=32, dropout=0.5,
                                  lr=3e-3).with_ablation(ablation)
-            model = Model(np.random.default_rng(seed), cfg.model_spec(), len(vocab), graph,
+            model = Model(np.random.default_rng(seed), cfg, len(vocab), graph,
                           hierarchy.section_ids)
             train_model(model, graph, train, val, hierarchy, vocab, cfg)
             predictor = Predictor(model, graph, hierarchy, vocab, cfg)

@@ -69,6 +69,21 @@ def test_split_honours_ratio_flag(pipeline, tmp_path):
     assert report["fold_sizes"] == [35, 35, 0]
 
 
+def test_split_accepts_numeric_fact_ids(pipeline, tmp_path):
+    lines = []
+    for i, line in enumerate((pipeline / "data" / "facts.jsonl").read_text().splitlines()):
+        lines.append(json.dumps({**json.loads(line), "id": i + 1}))
+    facts = tmp_path / "numeric.jsonl"
+    facts.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "splits"
+    assert main(["split", "--facts", str(facts),
+                 "--hierarchy", str(pipeline / "data" / "hierarchy.json"),
+                 "--out-dir", str(out)]) == 0
+    written = [line for role in ("train", "validation", "test")
+               for line in (out / f"{role}.jsonl").read_text().splitlines()]
+    assert sorted(written) == sorted(lines)
+
+
 def test_split_rejects_bad_ratios(pipeline, tmp_path):
     with pytest.raises(SystemExit):
         main(["split", "--facts", str(pipeline / "data" / "facts.jsonl"),
@@ -173,6 +188,19 @@ def test_unknown_config_key_rejected(pipeline, tmp_path):
               "--config", str(cfg_path), "--out-dir", str(tmp_path)])
 
 
+def test_invalid_config_value_rejected_before_echo(pipeline, tmp_path, capsys):
+    cfg_path = tmp_path / "bogus.json"
+    cfg_path.write_text(json.dumps({**CONFIG, "structural": "bogus"}))
+    out = tmp_path / "run"
+    assert main(["train", "--facts", str(pipeline / "splits" / "train.jsonl"),
+                 "--val-facts", str(pipeline / "splits" / "validation.jsonl"),
+                 "--hierarchy", str(pipeline / "data" / "hierarchy.json"),
+                 "--graph", str(pipeline / "graph" / "graph.json"),
+                 "--config", str(cfg_path), "--out-dir", str(out)]) == 1
+    assert "bogus" in capsys.readouterr().err
+    assert not (out / "effective_config.json").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["predict", "--checkpoint", "c.npz", "--graph", "g.json", "--hierarchy", "h.json",
      "--facts", "f.jsonl", "--seed", "1"],
@@ -263,19 +291,23 @@ def test_tau_source_flag_and_config(pipeline, tuned_run, tmp_path):
 @pytest.mark.parametrize("value", [True, False])
 def test_checkpoint_with_retired_config_key_still_loads(pipeline, tmp_path, value, capsys):
     # checkpoints written while the exclude_self_edges option existed carry it
-    # in the training config; those written while the attention-context mode
-    # existed carry dynamic_context in the model spec and the training config
+    # in the training config; older checkpoints also carry a model_spec record
+    # (a second copy of the architecture), which named dynamic_context while
+    # the attention-context mode existed, as did the training config
     new = pipeline / "run" / "checkpoint.npz"
     self_edges, context = tmp_path / "self_edges.npz", tmp_path / "context.npz"
+    spec = tmp_path / "spec.npz"
     _rewrite_checkpoint_meta(new, self_edges,
                              lambda meta: meta["train_config"].update(exclude_self_edges=value))
 
-    def set_context(meta):
-        meta["model_spec"]["dynamic_context"] = value
-        meta["train_config"]["dynamic_context"] = value
+    def add_spec(meta, **retired):
+        arch = ("embed_dim", "d_prime", "d_node", "d_m", "d_s", "dropout", "structural")
+        meta["model_spec"] = {**{k: meta["train_config"][k] for k in arch}, **retired}
+        meta["train_config"].update(retired)
 
-    _rewrite_checkpoint_meta(new, context, set_context)
-    old = {"self_edges": self_edges}
+    _rewrite_checkpoint_meta(new, spec, add_spec)
+    _rewrite_checkpoint_meta(new, context, lambda meta: add_spec(meta, dynamic_context=value))
+    old = {"self_edges": self_edges, "spec": spec}
     if value:
         old["context"] = context
     else:

@@ -5,10 +5,10 @@ import pytest
 from lexcite.autodiff import no_grad
 from lexcite.corpus import build_vocab, encode_corpus, load_facts, load_hierarchy
 from lexcite.graph import build_citation_graph
-from lexcite.model import Model, ModelSpec, load_checkpoint, save_checkpoint
+from lexcite.model import Model
 from lexcite.split import SplitSpec, iterative_stratified_split
 from lexcite.synth import write_synth
-from lexcite.training import TrainingConfig, train_model
+from lexcite.training import TrainingConfig, load_checkpoint, save_checkpoint, train_model
 
 
 @pytest.fixture(scope="module")
@@ -23,7 +23,7 @@ def setup(tmp_path_factory):
     config = TrainingConfig(d_prime=8, d_node=8, d_m=8, d_s=8, embed_dim=8, max_sents=4,
                             max_words=8, k_instances=2, batch_size=8, dropout=0.0,
                             epochs=1, lr=5e-3, seed=0)
-    model = Model(np.random.default_rng(0), config.model_spec(), len(vocab), graph,
+    model = Model(np.random.default_rng(0), config, len(vocab), graph,
                   hierarchy.section_ids)
     return model, graph, train, val, test, hierarchy, vocab, config
 
@@ -72,11 +72,12 @@ def test_inference_path_matches_training_scores(setup):
 def test_checkpoint_roundtrip(tmp_path, setup):
     model, graph, train, val, test, hierarchy, vocab, config = setup
     path = tmp_path / "ckpt.npz"
-    save_checkpoint(path, model, vocab, {"epochs": 1}, extra={"note": "x"})
+    save_checkpoint(path, model, vocab, extra={"note": "x"})
     restored, vocab2, meta = load_checkpoint(path, graph)
     assert vocab2.tokens == vocab.tokens
     assert meta["extra"]["note"] == "x"
-    assert restored.spec == model.spec
+    assert "model_spec" not in meta
+    assert restored.config == model.config
     for name, arr in model.state_arrays().items():
         npt.assert_array_equal(restored.state_arrays()[name], arr, err_msg=name)
 
@@ -92,7 +93,7 @@ def test_checkpoint_roundtrip(tmp_path, setup):
 def test_checkpoint_rejects_wrong_graph(tmp_path, setup):
     model, graph, train, val, test, hierarchy, vocab, config = setup
     path = tmp_path / "ckpt.npz"
-    save_checkpoint(path, model, vocab, {})
+    save_checkpoint(path, model, vocab)
     other_facts, other_hier = write_synth(tmp_path, n_docs=10, n_sections=4, seed=9)
     hierarchy2 = load_hierarchy(other_hier)
     docs2 = load_facts(other_facts, hierarchy2)
@@ -105,7 +106,7 @@ def test_lookup_variant_trains(setup, tmp_path):
     model, graph, train, val, test, hierarchy, vocab, config = setup
     from dataclasses import replace
     cfg = replace(config, structural="lookup", epochs=1)
-    lookup_model = Model(np.random.default_rng(0), cfg.model_spec(), len(vocab), graph,
+    lookup_model = Model(np.random.default_rng(0), cfg, len(vocab), graph,
                          hierarchy.section_ids)
     result = train_model(lookup_model, graph, train, val, hierarchy, vocab, cfg)
     assert len(result.log) == 1

@@ -1,4 +1,3 @@
-from dataclasses import fields
 
 import numpy as np
 import numpy.testing as npt
@@ -11,7 +10,7 @@ from lexcite.autodiff import Parameter, Tensor
 from lexcite.corpus import build_vocab, load_facts, load_hierarchy
 from lexcite.graph import build_citation_graph
 from lexcite.han import TextEncoder
-from lexcite.model import Model, ModelSpec
+from lexcite.model import Model
 from lexcite.split import SplitSpec, iterative_stratified_split
 from lexcite.synth import write_synth
 from lexcite.training import (DivergenceError, Predictor, TrainingConfig, citation_frequencies,
@@ -34,7 +33,7 @@ def tiny_setup(tmp_path, n_docs=24, n_sections=3, seed=0, epochs=2, **overrides)
     graph = build_citation_graph(train, hierarchy)
     vocab = build_vocab([d.tokens() for d in train] + [s.tokens() for s in hierarchy.sections])
     config = TrainingConfig(epochs=epochs, seed=seed, **{**TINY, **overrides})
-    model = Model(np.random.default_rng(seed), config.model_spec(), len(vocab), graph,
+    model = Model(np.random.default_rng(seed), config, len(vocab), graph,
                   hierarchy.section_ids)
     return model, graph, train, val, test, hierarchy, vocab, config
 
@@ -166,7 +165,7 @@ class TestConfigValidation:
         {"tau": 0.0}, {"tau": 1.0}, {"eta": 0.5}, {"lr": 0.5}, {"lr": 1e-9},
         {"theta_a": -1.0}, {"lambda_a": 0.0, "lambda_l": 0.0}, {"weighting": "nope"},
         {"dropout": -0.5}, {"dropout": 1.0}, {"dropout": 1.5},
-        {"batch_size": 0}, {"batch_size": -3},
+        {"batch_size": 0}, {"batch_size": -3}, {"epochs": -3}, {"structural": "bogus"},
     ])
     def test_invalid_configs_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -175,18 +174,6 @@ class TestConfigValidation:
     def test_dropout_and_batch_size_edges_accepted(self):
         cfg = TrainingConfig(dropout=0.0, batch_size=1)
         assert (cfg.dropout, cfg.batch_size) == (0.0, 1)
-
-    def test_model_spec_copies_every_architecture_field(self):
-        # ModelSpec and TrainingConfig both record the architecture; every
-        # spec field must exist in the config and be copied by model_spec()
-        config_fields = {f.name for f in fields(TrainingConfig)}
-        spec_fields = [f.name for f in fields(ModelSpec)]
-        assert set(spec_fields) <= config_fields
-        non_default = dict(embed_dim=7, d_prime=9, d_node=11, d_m=13, d_s=15, dropout=0.25,
-                           structural="lookup")
-        assert set(non_default) == set(spec_fields)
-        spec = TrainingConfig(**non_default).model_spec()
-        assert {name: getattr(spec, name) for name in spec_fields} == non_default
 
     def test_ablations(self):
         cfg = TrainingConfig(**TINY)
@@ -257,7 +244,7 @@ class TestTrainLoop:
         vocab = build_vocab([d.tokens() for d in train] + [s.tokens() for s in hierarchy.sections])
         config = TrainingConfig(epochs=1)
         assert (config.d_prime, config.max_sents, config.max_words) == (200, 128, 64)
-        model = Model(np.random.default_rng(0), config.model_spec(), len(vocab), graph,
+        model = Model(np.random.default_rng(0), config, len(vocab), graph,
                       hierarchy.section_ids)
         result = train_model(model, graph, train, val, hierarchy, vocab, config)
         (record,) = result.log
