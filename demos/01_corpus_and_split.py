@@ -8,8 +8,8 @@ Run:  python demos/01_corpus_and_split.py
 import tempfile
 from pathlib import Path
 
-from lexcite.corpus import (build_vocab, decode_text, encode_text, load_facts_with_report,
-                            load_hierarchy, tokenize)
+from lexcite.corpus import (build_vocab, encode_text, load_facts_with_report, load_hierarchy,
+                            tokenize)
 from lexcite.split import SplitSpec, iterative_stratified_split, split_report
 from lexcite.synth import write_synth
 
@@ -40,7 +40,8 @@ print(f"\nvocabulary: {len(vocab)} entries (index 0 = padding, 1 = unknown)")
 
 grid, mask = encode_text(sample, vocab, max_sents=4, max_words=8)
 print(f"encoded grid shape {grid.shape}, {int(mask.sum())} real tokens")
-print("round-trip of the masked region:", decode_text(grid, mask, vocab)[0][:6], "...\n")
+print("round-trip of the masked region:",
+      [vocab.decode(int(i)) for i in grid[0][mask[0]]][:6], "...\n")
 
 # --- 64:16:20 iterative stratified split ----------------------------------------
 spec = SplitSpec(ratios=(0.64, 0.16, 0.20), seed=0)

@@ -1,12 +1,20 @@
 """Reverse-mode automatic differentiation on numpy arrays.
 
-A small tape engine: every operation returns a :class:`Tensor` that remembers
-its parents and how to push gradients back to them. All data is float64;
-gradient checks against central finite differences are part of the test
-suite, so the engine is deliberately free of any reduced-precision shortcuts.
+A small tape engine. Every operation returns a :class:`Tensor`. An op states
+only its forward value and, for each input, a vector-Jacobian product (VJP)
+that maps the output's gradient to that input's share; :func:`_tracked` is
+the one constructor of such recorded nodes. There is one accumulation rule,
+and :meth:`Tensor.backward` alone applies it: it skips inputs that need no
+gradient, gives an input a zero gradient buffer on first touch, and adds
+each share to it whole (``+=``), or at the node's index with ``np.add.at``
+(``getitem``, ``embedding``), so shares through a repeated index or a reused
+input all add up. All data is float64; gradient checks against central
+finite differences are part of the test suite, so the engine is deliberately
+free of any reduced-precision shortcuts.
 
-Ops skip closure construction entirely when no input requires a gradient
-(or inside :func:`no_grad`), which matters because finite-difference checks
+Ops test whether anything is recording before they build a VJP: when no
+input requires a gradient, or inside :func:`no_grad`, they return a plain
+value and create no closure, which matters because finite-difference checks
 re-run forward passes thousands of times.
 """
 
@@ -32,7 +40,7 @@ def no_grad():
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_index")
 
     def __init__(self, data, requires_grad=False):
         if isinstance(data, Tensor):
@@ -41,19 +49,11 @@ class Tensor:
         self.grad = None
         self.requires_grad = requires_grad
         self._parents = ()
-        self._backward = None
+        self._index = None
 
     @property
     def shape(self):
         return self.data.shape
-
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
-    def size(self):
-        return self.data.size
 
     def item(self) -> float:
         return float(self.data)
@@ -61,12 +61,11 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    def _ensure_grad(self):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        return self.grad
+    def __getitem__(self, key):
+        return getitem(self, key)
 
-    # -- backward pass --------------------------------------------------------
+    def transpose(self, *axes):
+        return transpose(self, axes if axes else None)
 
     def backward(self, grad=None):
         if grad is None:
@@ -88,61 +87,23 @@ class Tensor:
                 continue
             visited.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in visited:
-                    stack.append((p, False))
+            for x in node._parents[::2]:  # the inputs, without their VJPs
+                if x.requires_grad and id(x) not in visited:
+                    stack.append((x, False))
 
         for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-
-    # -- operator sugar ---------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise TypeError("tensor/tensor division unsupported; divide by a scalar")
-        return mul(self, 1.0 / float(other))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __getitem__(self, key):
-        return getitem(self, key)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
-
-    def transpose(self, *axes):
-        return transpose(self, axes if axes else None)
-
-    @property
-    def T(self):
-        return transpose(self, None)
+            g = node.grad
+            pairs = iter(node._parents)
+            for x, vjp in zip(pairs, pairs):
+                if not x.requires_grad:
+                    continue
+                share = vjp(g)
+                if x.grad is None:
+                    x.grad = np.zeros_like(x.data)
+                if node._index is None:
+                    x.grad += share
+                else:
+                    np.add.at(x.grad, node._index, share)
 
 
 class Parameter(Tensor):
@@ -160,15 +121,21 @@ def _raw(data) -> Tensor:
     out.grad = None
     out.requires_grad = False
     out._parents = ()
-    out._backward = None
+    out._index = None
     return out
 
 
-def _tracked(data, parents, backward) -> Tensor:
-    out = _raw(data)
+def _tracked(data, *inputs, index=None) -> Tensor:
+    """The one constructor of recorded nodes. `inputs` alternate a tensor and
+    its VJP: flat, not one pair per input, because the garbage collector's
+    work grows with the tape's object count. `index` is where a single-input
+    op's share lands in that input (``np.add.at``)."""
+    out = Tensor.__new__(Tensor)
+    out.data = data
+    out.grad = None
     out.requires_grad = True
-    out._parents = parents
-    out._backward = backward
+    out._parents = inputs
+    out._index = index
     return out
 
 
@@ -197,16 +164,8 @@ def add(a, b):
     data = a.data + b.data
     if not (_grad_enabled and (a.requires_grad or b.requires_grad)):
         return _raw(data)
-
-    def backward(g):
-        if a.requires_grad:
-            a._ensure_grad()
-            a.grad += _unbroadcast(g, a.data.shape)
-        if b.requires_grad:
-            b._ensure_grad()
-            b.grad += _unbroadcast(g, b.data.shape)
-
-    return _tracked(data, tuple(p for p in (a, b) if p.requires_grad), backward)
+    return _tracked(data, a, lambda g: _unbroadcast(g, a.data.shape),
+                    b, lambda g: _unbroadcast(g, b.data.shape))
 
 
 def sub(a, b):
@@ -214,16 +173,8 @@ def sub(a, b):
     data = a.data - b.data
     if not (_grad_enabled and (a.requires_grad or b.requires_grad)):
         return _raw(data)
-
-    def backward(g):
-        if a.requires_grad:
-            a._ensure_grad()
-            a.grad += _unbroadcast(g, a.data.shape)
-        if b.requires_grad:
-            b._ensure_grad()
-            b.grad += _unbroadcast(-g, b.data.shape)
-
-    return _tracked(data, tuple(p for p in (a, b) if p.requires_grad), backward)
+    return _tracked(data, a, lambda g: _unbroadcast(g, a.data.shape),
+                    b, lambda g: _unbroadcast(-g, b.data.shape))
 
 
 def mul(a, b):
@@ -231,28 +182,8 @@ def mul(a, b):
     data = a.data * b.data
     if not (_grad_enabled and (a.requires_grad or b.requires_grad)):
         return _raw(data)
-
-    def backward(g):
-        if a.requires_grad:
-            a._ensure_grad()
-            a.grad += _unbroadcast(g * b.data, a.data.shape)
-        if b.requires_grad:
-            b._ensure_grad()
-            b.grad += _unbroadcast(g * a.data, b.data.shape)
-
-    return _tracked(data, tuple(p for p in (a, b) if p.requires_grad), backward)
-
-
-def neg(a):
-    a = _as_tensor(a)
-    if not (_grad_enabled and a.requires_grad):
-        return _raw(-a.data)
-
-    def backward(g):
-        a._ensure_grad()
-        a.grad -= g
-
-    return _tracked(-a.data, (a,), backward)
+    return _tracked(data, a, lambda g: _unbroadcast(g * b.data, a.data.shape),
+                    b, lambda g: _unbroadcast(g * a.data, b.data.shape))
 
 
 def matmul(a, b):
@@ -262,16 +193,7 @@ def matmul(a, b):
     data = a.data @ b.data
     if not (_grad_enabled and (a.requires_grad or b.requires_grad)):
         return _raw(data)
-
-    def backward(g):
-        if a.requires_grad:
-            a._ensure_grad()
-            a.grad += g @ b.data.T
-        if b.requires_grad:
-            b._ensure_grad()
-            b.grad += a.data.T @ g
-
-    return _tracked(data, tuple(p for p in (a, b) if p.requires_grad), backward)
+    return _tracked(data, a, lambda g: g @ b.data.T, b, lambda g: a.data.T @ g)
 
 
 # -- elementwise unary --------------------------------------------------------
@@ -282,12 +204,7 @@ def log(a):
     data = np.log(a.data)
     if not (_grad_enabled and a.requires_grad):
         return _raw(data)
-
-    def backward(g):
-        a._ensure_grad()
-        a.grad += g / a.data
-
-    return _tracked(data, (a,), backward)
+    return _tracked(data, a, lambda g: g / a.data)
 
 
 def tanh(a):
@@ -295,12 +212,7 @@ def tanh(a):
     out_data = np.tanh(a.data)
     if not (_grad_enabled and a.requires_grad):
         return _raw(out_data)
-
-    def backward(g):
-        a._ensure_grad()
-        a.grad += g * (1.0 - out_data * out_data)
-
-    return _tracked(out_data, (a,), backward)
+    return _tracked(out_data, a, lambda g: g * (1.0 - out_data * out_data))
 
 
 def sigmoid(a):
@@ -308,12 +220,7 @@ def sigmoid(a):
     out_data = 1.0 / (1.0 + np.exp(-a.data))
     if not (_grad_enabled and a.requires_grad):
         return _raw(out_data)
-
-    def backward(g):
-        a._ensure_grad()
-        a.grad += g * out_data * (1.0 - out_data)
-
-    return _tracked(out_data, (a,), backward)
+    return _tracked(out_data, a, lambda g: g * out_data * (1.0 - out_data))
 
 
 def relu(a):
@@ -322,12 +229,7 @@ def relu(a):
     data = np.where(keep, a.data, 0.0)
     if not (_grad_enabled and a.requires_grad):
         return _raw(data)
-
-    def backward(g):
-        a._ensure_grad()
-        a.grad += g * keep
-
-    return _tracked(data, (a,), backward)
+    return _tracked(data, a, lambda g: g * keep)
 
 
 def leaky_relu(a, slope=0.01):
@@ -336,12 +238,7 @@ def leaky_relu(a, slope=0.01):
     data = a.data * factor
     if not (_grad_enabled and a.requires_grad):
         return _raw(data)
-
-    def backward(g):
-        a._ensure_grad()
-        a.grad += g * factor
-
-    return _tracked(data, (a,), backward)
+    return _tracked(data, a, lambda g: g * factor)
 
 
 def clip(a, lo, hi):
@@ -351,12 +248,7 @@ def clip(a, lo, hi):
     if not (_grad_enabled and a.requires_grad):
         return _raw(data)
     inside = (a.data > lo) & (a.data < hi)
-
-    def backward(g):
-        a._ensure_grad()
-        a.grad += g * inside
-
-    return _tracked(data, (a,), backward)
+    return _tracked(data, a, lambda g: g * inside)
 
 
 # -- reductions ---------------------------------------------------------------
@@ -367,17 +259,10 @@ def tsum(a, axis=None, keepdims=False):
     data = a.data.sum(axis=axis, keepdims=keepdims)
     if not (_grad_enabled and a.requires_grad):
         return _raw(data)
-
-    def backward(g):
-        a._ensure_grad()
-        if axis is None:
-            a.grad += g
-        else:
-            if not keepdims:
-                g = np.expand_dims(g, axis)
-            a.grad += np.broadcast_to(g, a.data.shape)
-
-    return _tracked(data, (a,), backward)
+    if axis is None:
+        return _tracked(data, a, lambda g: g)
+    return _tracked(data, a, lambda g: np.broadcast_to(
+        g if keepdims else np.expand_dims(g, axis), a.data.shape))
 
 
 def tmean(a, axis=None, keepdims=False):
@@ -416,13 +301,7 @@ def masked_softmax(a, mask=None, axis=-1):
     p = np.divide(e, denom, out=np.zeros_like(e), where=denom > 0)
     if not (_grad_enabled and a.requires_grad):
         return _raw(p)
-
-    def backward(g):
-        a._ensure_grad()
-        gp = g * p
-        a.grad += gp - p * gp.sum(axis=axis, keepdims=True)
-
-    return _tracked(p, (a,), backward)
+    return _tracked(p, a, lambda g: (gp := g * p) - p * gp.sum(axis=axis, keepdims=True))
 
 
 def softmax(a, axis=-1):
@@ -438,12 +317,7 @@ def reshape(a, shape):
     if not (_grad_enabled and a.requires_grad):
         return _raw(data)
     orig = a.data.shape
-
-    def backward(g):
-        a._ensure_grad()
-        a.grad += g.reshape(orig)
-
-    return _tracked(data, (a,), backward)
+    return _tracked(data, a, lambda g: g.reshape(orig))
 
 
 def transpose(a, axes=None):
@@ -454,12 +328,7 @@ def transpose(a, axes=None):
     if not (_grad_enabled and a.requires_grad):
         return _raw(data)
     inv = np.argsort(axes)
-
-    def backward(g):
-        a._ensure_grad()
-        a.grad += g.transpose(inv)
-
-    return _tracked(data, (a,), backward)
+    return _tracked(data, a, lambda g: g.transpose(inv))
 
 
 def getitem(a, key):
@@ -467,12 +336,7 @@ def getitem(a, key):
     data = a.data[key]
     if not (_grad_enabled and a.requires_grad):
         return _raw(data)
-
-    def backward(g):
-        a._ensure_grad()
-        np.add.at(a.grad, key, g)
-
-    return _tracked(data, (a,), backward)
+    return _tracked(data, a, lambda g: g, index=key)
 
 
 def concat(tensors, axis=0):
@@ -480,18 +344,12 @@ def concat(tensors, axis=0):
     data = np.concatenate([t.data for t in tensors], axis=axis)
     if not (_grad_enabled and any(t.requires_grad for t in tensors)):
         return _raw(data)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                t._ensure_grad()
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                t.grad += g[tuple(idx)]
-
-    return _tracked(data, tuple(t for t in tensors if t.requires_grad), backward)
+    offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
+    lead = (slice(None),) * (axis % data.ndim)
+    inputs = []
+    for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+        inputs += (t, lambda g, part=lead + (slice(lo, hi),): g[part])
+    return _tracked(data, *inputs)
 
 
 def stack(tensors, axis=0):
@@ -499,14 +357,10 @@ def stack(tensors, axis=0):
     data = np.stack([t.data for t in tensors], axis=axis)
     if not (_grad_enabled and any(t.requires_grad for t in tensors)):
         return _raw(data)
-
-    def backward(g):
-        for i, t in enumerate(tensors):
-            if t.requires_grad:
-                t._ensure_grad()
-                t.grad += np.take(g, i, axis=axis)
-
-    return _tracked(data, tuple(t for t in tensors if t.requires_grad), backward)
+    inputs = []
+    for i, t in enumerate(tensors):
+        inputs += (t, lambda g, i=i: np.take(g, i, axis=axis))
+    return _tracked(data, *inputs)
 
 
 # -- gather / scatter ---------------------------------------------------------
@@ -519,12 +373,8 @@ def embedding(table, idx):
     data = table.data[idx]
     if not (_grad_enabled and table.requires_grad):
         return _raw(data)
-
-    def backward(g):
-        table._ensure_grad()
-        np.add.at(table.grad, idx.reshape(-1), g.reshape(-1, table.data.shape[-1]))
-
-    return _tracked(data, (table,), backward)
+    width = table.data.shape[-1]
+    return _tracked(data, table, lambda g: g.reshape(-1, width), index=idx.reshape(-1))
 
 
 def scatter_rows(values, idx, n_rows):
@@ -538,9 +388,4 @@ def scatter_rows(values, idx, n_rows):
     data[idx] = values.data
     if not (_grad_enabled and values.requires_grad):
         return _raw(data)
-
-    def backward(g):
-        values._ensure_grad()
-        values.grad += g[idx]
-
-    return _tracked(data, (values,), backward)
+    return _tracked(data, values, lambda g: g[idx])

@@ -27,6 +27,7 @@ from .training import (Predictor, TrainingConfig, citation_frequencies, load_che
                        predict_corpus, save_checkpoint, train_model, tune_threshold)
 
 SPLIT_ROLES = ("train", "validation", "test")
+INPUT_FLAGS = ("facts", "val_facts", "hierarchy", "graph", "checkpoint", "vectors", "config")
 
 
 def _add_out_dir(parser: argparse.ArgumentParser):
@@ -321,8 +322,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for flag in INPUT_FLAGS:  # before the command writes anything
+            path = getattr(args, flag, None)
+            if path is not None and not path.is_file():
+                raise FileNotFoundError(f"--{flag.replace('_', '-')} {path}: no such file")
         return args.func(args)
-    except (CorpusError, ValueError) as e:
+    except (CorpusError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -224,12 +224,6 @@ def load_facts(path, hierarchy: StatuteHierarchy) -> list[FactDocument]:
     return docs
 
 
-def average_labels_per_doc(docs: list[FactDocument]) -> float:
-    if not docs:
-        raise CorpusError("empty corpus")
-    return sum(len(d.labels) for d in docs) / len(docs)
-
-
 class Vocabulary:
     """Token index with reserved padding (0) and unknown (1) slots.
 
@@ -300,15 +294,6 @@ def encode_text(doc, vocab: Vocabulary, max_sents: int, max_words: int):
         grid[i, : len(words)] = [vocab.encode(w) for w in words]
         mask[i, : len(words)] = True
     return grid, mask
-
-
-def decode_text(grid: np.ndarray, mask: np.ndarray, vocab: Vocabulary) -> list[list[str]]:
-    """Inverse of encode_text on the masked region."""
-    out = []
-    for row, mrow in zip(grid, mask):
-        if mrow.any():
-            out.append([vocab.decode(int(i)) for i in row[mrow]])
-    return out
 
 
 def encode_corpus(docs, vocab: Vocabulary, max_sents: int, max_words: int):

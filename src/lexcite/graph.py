@@ -175,9 +175,15 @@ class HeteroGraph:
         return self._require(node_id)
 
     def phi(self, node_id: str) -> str:
+        """The paper's node-type map φ, by id. The sampler reads `node_type`
+        by index; the oracles and the inductive-hygiene tests read types
+        through this."""
         return self.node_type[self._require(node_id)]
 
     def neighbors(self, node_id: str, relation: str) -> tuple[str, ...]:
+        """Neighbour ids under `relation`; the node is recorded as a walk's
+        would be. The sampler walks the CSR by index; the enumeration oracles
+        and demo 02 read adjacency through this, which keeps the CSR private."""
         g = self._require(node_id)
         if self.recorder is not None:
             self.recorder.append(node_id)

@@ -160,13 +160,12 @@ class _BalanceState:
                 if total < self.MIN_SUPPORT:
                     continue
                 dev = self.label_fold[lab] / total - self.ratios
-                span = dev.max() - dev.min()
-                if abs(dev).max() > self.REBALANCE_TRIGGER and \
-                        (worst is None or abs(dev).max() > worst[0]):
-                    worst = (abs(dev).max(), lab, int(dev.argmax()), int(dev.argmin()), span)
+                peak = abs(dev).max()
+                if peak > self.REBALANCE_TRIGGER and (worst is None or peak > worst[0]):
+                    worst = (peak, lab, int(dev.argmax()), int(dev.argmin()))
             if worst is None:
                 return
-            _, lab, src, dst, _ = worst
+            _, lab, src, dst = worst
             forward = self._best_doc(src, dst, require=lab)
             backward = self._best_doc(dst, src, forbid=lab)
             if forward is None or backward is None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 
+from lexcite.corpus import CorpusError
 from lexcite.graph import MetapathInstance
 
 
@@ -264,3 +265,22 @@ def max_rel_error(analytic, numeric, floor=1e-8):
         denom = max(abs(a), abs(b), floor)
         worst = max(worst, abs(a - b) / denom)
     return worst
+
+
+# -- corpus ---------------------------------------------------------------------
+
+
+def average_labels_per_doc(docs) -> float:
+    """Mean number of gold sections per fact (criterion 9's label density)."""
+    if not docs:
+        raise CorpusError("empty corpus")
+    return sum(len(d.labels) for d in docs) / len(docs)
+
+
+def decode_text(grid, mask, vocab) -> list[list[str]]:
+    """Inverse of `encode_text` on the masked region."""
+    out = []
+    for row, mrow in zip(grid, mask):
+        if mrow.any():
+            out.append([vocab.decode(int(i)) for i in row[mrow]])
+    return out

@@ -16,7 +16,7 @@ import pytest
 from lexcite import autodiff as ad
 from lexcite.autodiff import Tensor, no_grad
 from lexcite.corpus import (FactDocument, build_vocab, encode_corpus, load_facts,
-                            load_facts_with_report, load_hierarchy, average_labels_per_doc)
+                            load_facts_with_report, load_hierarchy)
 from lexcite.graph import build_citation_graph, default_schemas
 from lexcite.metrics import macro_prf, mean_jaccard
 from lexcite.model import Model
@@ -28,9 +28,10 @@ from lexcite.training import (Predictor, TrainingConfig, citation_frequencies, c
                               predict_corpus, train_model, tune_threshold, weighted_bce)
 
 from conftest import make_fact
-from oracles import (conforms, enumerate_instances, fd_gradients, inter_aggregate_scalar,
-                     intra_aggregate_scalar, jaccard_scalar, macro_prf_scalar, matvec_scalar,
-                     max_rel_error, softmax_scalar, tws_scalar, vws_scalar, weighted_bce_scalar)
+from oracles import (average_labels_per_doc, conforms, enumerate_instances, fd_gradients,
+                     inter_aggregate_scalar, intra_aggregate_scalar, jaccard_scalar,
+                     macro_prf_scalar, matvec_scalar, max_rel_error, softmax_scalar, tws_scalar,
+                     vws_scalar, weighted_bce_scalar)
 from test_graph import random_graph
 from test_structural import (encode_one, feature, randomize, rotation_oracle,
                              single_schema_encoder)

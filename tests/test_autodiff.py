@@ -138,3 +138,38 @@ class TestEngine:
             y = ad.add(y, 1e-4)
         ad.tsum(y).backward()
         npt.assert_allclose(x.grad, [1.0])
+
+    def test_input_used_twice_gets_both_shares(self):
+        x = Parameter(np.array([3.0, -2.0]))
+        ad.tsum(ad.mul(x, x)).backward()
+        npt.assert_allclose(x.grad, [6.0, -4.0])
+
+    def test_repeated_fancy_index_accumulates_every_share(self):
+        x = Parameter(np.arange(4.0))
+        ad.tsum(ad.mul(x[[0, 0, 2]], np.array([1.0, 10.0, 100.0]))).backward()
+        npt.assert_allclose(x.grad, [11.0, 0.0, 100.0, 0.0])
+
+    def test_constant_input_gets_no_grad_buffer(self):
+        x = Parameter(np.ones(3))
+        c = Tensor(np.full(3, 2.0))
+        ad.tsum(ad.concat([ad.mul(x, c), c], axis=0)).backward()
+        assert c.grad is None
+        npt.assert_allclose(x.grad, [2.0, 2.0, 2.0])
+
+    def test_nodes_recorded_only_when_an_input_needs_a_gradient(self, monkeypatch):
+        calls = []
+        tracked = ad._tracked
+        monkeypatch.setattr(ad, "_tracked",
+                            lambda *args, **kw: calls.append(1) or tracked(*args, **kw))
+        x = Parameter(np.ones((2, 3)))
+        c = Tensor(np.ones((2, 3)))
+
+        def ops(a):
+            return ad.tsum(ad.concat([ad.tanh(ad.matmul(a, np.ones((3, 2)))), a[:, :2]], axis=1))
+
+        with no_grad():
+            ops(x)
+        ops(c)
+        assert calls == []
+        ops(x)
+        assert len(calls) == 5

@@ -201,6 +201,27 @@ def test_invalid_config_value_rejected_before_echo(pipeline, tmp_path, capsys):
     assert not (out / "effective_config.json").exists()
 
 
+@pytest.mark.parametrize("command,missing", [
+    ("train", "--graph"), ("evaluate", "--facts"), ("predict", "--graph"),
+])
+def test_missing_input_file_is_an_error_line(pipeline, tmp_path, capsys, command, missing):
+    if command == "train":
+        argv = ["train", "--facts", str(pipeline / "splits" / "train.jsonl"),
+                "--val-facts", str(pipeline / "splits" / "validation.jsonl"),
+                "--graph", str(pipeline / "graph" / "graph.json")]
+    else:
+        argv = [command, "--checkpoint", str(pipeline / "run" / "checkpoint.npz"),
+                "--graph", str(pipeline / "graph" / "graph.json"),
+                "--facts", str(pipeline / "splits" / "test.jsonl")]
+    argv[argv.index(missing) + 1] = str(tmp_path / "nope.json")
+    out = tmp_path / "out"
+    assert main([*argv, "--hierarchy", str(pipeline / "data" / "hierarchy.json"),
+                 "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "nope.json" in err[0]
+    assert not (out / "effective_config.json").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["predict", "--checkpoint", "c.npz", "--graph", "g.json", "--hierarchy", "h.json",
      "--facts", "f.jsonl", "--seed", "1"],

@@ -8,9 +8,7 @@ from lexcite.corpus import (
     HierarchyError,
     PAD_INDEX,
     UNK_INDEX,
-    average_labels_per_doc,
     build_vocab,
-    decode_text,
     encode_text,
     load_facts,
     load_facts_with_report,
@@ -19,6 +17,7 @@ from lexcite.corpus import (
 )
 
 from conftest import make_fact, write_facts_file, write_hierarchy_file
+from oracles import average_labels_per_doc, decode_text
 
 
 def test_tokenize_keeps_entity_masks_whole():
