@@ -25,7 +25,7 @@ graph = build_citation_graph(docs, hierarchy)
 vocab = build_vocab([d.tokens() for d in docs] + [s.tokens() for s in hierarchy.sections])
 
 config = TrainingConfig(embed_dim=16, d_prime=16, d_node=16, d_m=16, d_s=16, dropout=0.0)
-model = Model(np.random.default_rng(0), config, len(vocab), graph, hierarchy.section_ids)
+model = Model(np.random.default_rng(0), config, vocab, graph, hierarchy)
 print(f"model has {sum(p.data.size for p in model.parameters().values())} parameters\n")
 
 # --- hierarchical attention text encoder ------------------------------------------

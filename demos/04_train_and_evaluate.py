@@ -18,8 +18,8 @@ from lexcite.metrics import evaluate_predictions
 from lexcite.model import Model
 from lexcite.split import SplitSpec, iterative_stratified_split
 from lexcite.synth import write_synth
-from lexcite.training import (Predictor, TrainingConfig, citation_frequencies, class_weights,
-                              predict_corpus, train_model, tune_threshold)
+from lexcite.training import (TrainingConfig, citation_frequencies, class_weights, predict_corpus,
+                              train_model, tune_threshold)
 
 workdir = Path(tempfile.mkdtemp(prefix="lexcite_demo_"))
 facts_path, hier_path = write_synth(workdir, n_docs=300, n_sections=8, seed=0)
@@ -37,19 +37,17 @@ weights = class_weights(freqs, len(train), config)
 print("citation counts:", freqs.tolist())
 print("capped class weights:", [round(w, 1) for w in weights], "\n")
 
-model = Model(np.random.default_rng(config.seed), config, len(vocab), graph,
-              hierarchy.section_ids)
-result = train_model(model, graph, train, val, hierarchy, vocab, config,
+model = Model(np.random.default_rng(config.seed), config, vocab, graph, hierarchy)
+result = train_model(model, train, val,
                      log_hook=lambda r: print(f"  epoch {r['epoch']:2d}  "
                                               f"loss {r['loss']:7.3f}  "
                                               f"val macro-F1 {r['val_macro_f1']:6.2f}"))
 print(f"best epoch {result.best_epoch} (val macro-F1 {result.best_val_f1:.2f})\n")
 
-predictor = Predictor(model, graph, hierarchy, vocab, config)
-tau = tune_threshold(predictor, val)
+tau = tune_threshold(model, val)
 print(f"threshold tuned on validation: {tau}")
 
-preds, scores = predict_corpus(predictor, test, tau=tau)
+preds, scores = predict_corpus(model, test, tau=tau)
 report = evaluate_predictions(preds, [d.labels for d in test], hierarchy.section_ids,
                               courts=[d.court for d in test])
 print("\n" + report.summary())

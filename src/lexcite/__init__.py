@@ -13,15 +13,15 @@ from .model import Model
 from .scorer import MatchScorer, ScoreTriple
 from .split import SplitSpec, iterative_stratified_split
 from .synth import synth_corpus, write_synth
-from .training import (Predictor, TrainingConfig, class_weights_tws, class_weights_vws,
-                       combined_loss, load_checkpoint, predict_corpus, save_checkpoint,
-                       train_model, tune_threshold, weighted_bce)
+from .training import (TrainingConfig, class_weights_tws, class_weights_vws, combined_loss,
+                       load_checkpoint, predict_corpus, save_checkpoint, train_model,
+                       tune_threshold, weighted_bce)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "EvalReport", "FactDocument", "HeteroGraph", "MatchScorer", "MetapathInstance",
-    "MetapathSchema", "Model", "Predictor", "ScoreTriple", "SplitSpec",
+    "MetapathSchema", "Model", "ScoreTriple", "SplitSpec",
     "Statute", "StatuteHierarchy", "TrainingConfig", "Vocabulary", "build_citation_graph",
     "build_vocab", "class_weights_tws", "class_weights_vws", "combined_loss",
     "default_schemas", "encode_text", "evaluate_predictions", "iterative_stratified_split",

@@ -23,8 +23,8 @@ from .metrics import evaluate_predictions
 from .model import Model
 from .split import SplitSpec, iterative_stratified_split, split_report
 from .synth import write_synth
-from .training import (Predictor, TrainingConfig, citation_frequencies, load_checkpoint,
-                       predict_corpus, save_checkpoint, train_model, tune_threshold)
+from .training import (TrainingConfig, citation_frequencies, load_checkpoint, predict_corpus,
+                       save_checkpoint, train_model, tune_threshold)
 
 SPLIT_ROLES = ("train", "validation", "test")
 INPUT_FLAGS = ("facts", "val_facts", "hierarchy", "graph", "checkpoint", "vectors", "config")
@@ -167,8 +167,8 @@ def cmd_train(args) -> int:
         print(f"initialized {int(pretrained_mask.sum())}/{len(vocab)} embeddings "
               f"from {args.vectors}")
     rng = np.random.default_rng(config.seed)
-    model = Model(rng, config, len(vocab), graph, hierarchy.section_ids,
-                  pretrained=pretrained, pretrained_mask=pretrained_mask)
+    model = Model(rng, config, vocab, graph, hierarchy, pretrained=pretrained,
+                  pretrained_mask=pretrained_mask)
 
     log_path = args.out_dir / "train_log.jsonl"
     with log_path.open("w", encoding="utf-8") as log_fh:
@@ -177,17 +177,15 @@ def cmd_train(args) -> int:
             log_fh.flush()
             print(f"epoch {record['epoch']:3d}  loss {record['loss']:9.4f}  "
                   f"val macro-F1 {record['val_macro_f1']:6.2f}")
-        result = train_model(model, graph, train_docs, val_docs, hierarchy, vocab, config,
-                             log_hook=hook)
+        result = train_model(model, train_docs, val_docs, log_hook=hook)
 
     if args.tune_threshold:
-        predictor = Predictor(model, graph, hierarchy, vocab, config)
-        tuned = tune_threshold(predictor, val_docs)
+        tuned = tune_threshold(model, val_docs)
         print(f"tuned tau: {tuned}")
     else:
         tuned = None
     checkpoint = args.out_dir / "checkpoint.npz"
-    save_checkpoint(checkpoint, model, vocab,
+    save_checkpoint(checkpoint, model,
                     extra={"ablation": ablation, "best_epoch": result.best_epoch,
                            "best_val_macro_f1": result.best_val_f1, "tuned_tau": tuned})
     print(f"best epoch {result.best_epoch} val macro-F1 {result.best_val_f1:.2f}")
@@ -198,28 +196,26 @@ def cmd_train(args) -> int:
 def _restore(args):
     """Load a checkpoint for scoring. Its threshold is --tau if given, else
     the tau tuned by `train --tune-threshold`, else the training config's."""
-    graph = HeteroGraph.load(args.graph)
-    model, vocab, meta = load_checkpoint(args.checkpoint, graph)
+    hierarchy = load_hierarchy(args.hierarchy)
+    model, meta = load_checkpoint(args.checkpoint, HeteroGraph.load(args.graph), hierarchy)
     tuned = meta["extra"].get("tuned_tau")
     if args.tau is not None:
-        config, tau_source = replace(model.config, tau=args.tau), "flag"
+        model.config, tau_source = replace(model.config, tau=args.tau), "flag"
     elif tuned is not None:
-        config, tau_source = replace(model.config, tau=tuned), "checkpoint"
+        model.config, tau_source = replace(model.config, tau=tuned), "checkpoint"
     else:
-        config, tau_source = model.config, "config"
-    hierarchy = load_hierarchy(args.hierarchy)
-    if hierarchy.section_ids != model.section_ids:
-        raise SystemExit("error: hierarchy file does not match the checkpoint's section order")
-    return graph, model, vocab, config, tau_source, hierarchy
+        tau_source = "config"
+    return model, tau_source
 
 
 def cmd_evaluate(args) -> int:
-    graph, model, vocab, config, tau_source, hierarchy = _restore(args)
-    _echo_and_store(args.out_dir, "evaluate", {**asdict(config), "tau_source": tau_source,
+    model, tau_source = _restore(args)
+    _echo_and_store(args.out_dir, "evaluate", {**asdict(model.config), "tau_source": tau_source,
                                                "checkpoint": str(args.checkpoint),
                                                "facts": str(args.facts)})
+    hierarchy = model.hierarchy
     docs = _load_corpus(args.facts, hierarchy)
-    preds, _ = predict_corpus(Predictor(model, graph, hierarchy, vocab, config), docs)
+    preds, _ = predict_corpus(model, docs)
     golds = [d.labels for d in docs]
     freqs = citation_frequencies(docs, hierarchy.section_ids)
     report = evaluate_predictions(preds, golds, hierarchy.section_ids,
@@ -231,12 +227,13 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    graph, model, vocab, config, tau_source, hierarchy = _restore(args)
-    _echo_and_store(args.out_dir, "predict", {**asdict(config), "tau_source": tau_source,
+    model, tau_source = _restore(args)
+    _echo_and_store(args.out_dir, "predict", {**asdict(model.config), "tau_source": tau_source,
                                               "checkpoint": str(args.checkpoint),
                                               "facts": str(args.facts)})
+    hierarchy = model.hierarchy
     docs = _load_corpus(args.facts, hierarchy)
-    preds, all_scores = predict_corpus(Predictor(model, graph, hierarchy, vocab, config), docs)
+    preds, all_scores = predict_corpus(model, docs)
     out_path = args.out_dir / "predictions.jsonl"
     with out_path.open("w", encoding="utf-8") as fh:
         for doc, labels, scores in zip(docs, preds, all_scores):

@@ -8,7 +8,7 @@ Facts:      JSONL, one record per line with fields ``id``, ``text`` (string or
 Hierarchy:  a single JSON document: the act object carries ``id``, ``title``
             and ``chapters``; each chapter carries ``topics``; each topic
             carries ``sections``; each section has ``id``, ``title``, ``text``.
-Vocabulary: one token per line followed by its corpus frequency.
+Vectors:    one whitespace-separated ``token v1 .. v_d`` line per word.
 """
 
 from __future__ import annotations
@@ -227,8 +227,8 @@ def load_facts(path, hierarchy: StatuteHierarchy) -> list[FactDocument]:
 class Vocabulary:
     """Token index with reserved padding (0) and unknown (1) slots.
 
-    Tokens are ordered by first appearance so that saving and reloading is
-    lossless.
+    Tokens keep their order of first appearance; a checkpoint stores them in
+    that order, so every index survives a reload.
     """
 
     def __init__(self, tokens: list[str], freqs: dict[str, int]):
@@ -248,19 +248,26 @@ class Vocabulary:
         return self.tokens[idx]
 
     def load_vectors(self, path, dim: int):
-        """Read whitespace-separated `token v1 .. v_dim` lines. Returns the
-        (|V|, dim) matrix (zeros where absent) and a found mask."""
+        """Read whitespace-separated `token v1 .. v_dim` lines, skipping other
+        widths. Returns the (|V|, dim) matrix (zeros where absent) and a found
+        mask; refuses a file with no line of width `dim`."""
         matrix = np.zeros((len(self.tokens), dim))
         found = np.zeros(len(self.tokens), dtype=bool)
+        widths = set()
         with Path(path).open(encoding="utf-8") as fh:
             for line in fh:
-                parts = line.rstrip("\n").split()
+                parts = line.split()
+                if parts:
+                    widths.add(len(parts) - 1)
                 if len(parts) != dim + 1:
                     continue
                 idx = self.index.get(parts[0])
                 if idx is not None and idx >= 2:
                     matrix[idx] = [float(x) for x in parts[1:]]
                     found[idx] = True
+        if dim not in widths:
+            raise CorpusError(f"{path}: no vector of width {dim} (embed_dim); "
+                              f"widths seen: {sorted(widths)}")
         return matrix, found
 
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, no_grad
+from .corpus import StatuteHierarchy, Vocabulary, encode_corpus
 from .graph import HeteroGraph, default_schemas
 from .han import TextEncoder, trim_to_extent
 from .scorer import MatchScorer, ScoreTriple
@@ -25,17 +26,23 @@ if TYPE_CHECKING:
 
 
 class Model:
-    """Built from the architecture fields of a TrainingConfig (embed_dim,
-    d_prime, d_node, d_m, d_s, dropout, structural), kept as `config`."""
+    """Owns the run's inputs: the TrainingConfig it is built from (kept as
+    `config`), the vocabulary, the citation graph and the statute hierarchy,
+    whose section texts it encodes once at construction."""
 
-    def __init__(self, rng: np.random.Generator, config: TrainingConfig, vocab_size: int,
-                 graph: HeteroGraph, section_ids: list[str],
+    def __init__(self, rng: np.random.Generator, config: TrainingConfig, vocab: Vocabulary,
+                 graph: HeteroGraph, hierarchy: StatuteHierarchy,
                  pretrained: np.ndarray | None = None,
                  pretrained_mask: np.ndarray | None = None):
         self.config = config
-        self.section_ids = list(section_ids)
+        self.vocab = vocab
+        self.graph = graph
+        self.hierarchy = hierarchy
+        self.section_ids = hierarchy.section_ids
+        self.section_grids, self.section_masks = encode_corpus(
+            hierarchy.sections, vocab, config.max_sents, config.max_words)
         self.schemas = default_schemas()
-        self.text_encoder = TextEncoder(rng, vocab_size, config.embed_dim, config.d_prime,
+        self.text_encoder = TextEncoder(rng, len(vocab), config.embed_dim, config.d_prime,
                                         dropout=config.dropout, pretrained=pretrained,
                                         pretrained_mask=pretrained_mask)
         if config.structural == "metapath":
@@ -43,7 +50,7 @@ class Model:
                                                   config.d_prime, config.d_m)
         else:
             self.struct_encoder = LookupEncoder(rng, graph, config.d_prime)
-        self.scorer = MatchScorer(rng, len(section_ids), config.d_prime, config.d_s)
+        self.scorer = MatchScorer(rng, len(self.section_ids), config.d_prime, config.d_s)
 
     def parameters(self) -> dict[str, Tensor]:
         params = {}
@@ -54,41 +61,42 @@ class Model:
 
     # -- forward ------------------------------------------------------------------
 
-    def forward(self, graph: HeteroGraph, fact_grids: np.ndarray, fact_masks: np.ndarray,
-                section_grids: np.ndarray, section_masks: np.ndarray, k: int, sample_seed: int,
+    def forward(self, fact_grids: np.ndarray, fact_masks: np.ndarray, sample_seed: int,
                 fact_ids: list[str] | None = None, training: bool = False,
                 dropout_rng: np.random.Generator | None = None) -> ScoreTriple:
         """Score a batch of facts against every section.
 
         `fact_ids` enables the fact-side structural branch and must only be
-        given for facts that are nodes of `graph` (training facts).
+        given for facts that are nodes of the graph (training facts).
         """
         n_facts = fact_grids.shape[0]
-        grids, masks = trim_to_extent(np.concatenate([fact_grids, section_grids]),
-                                      np.concatenate([fact_masks, section_masks]))
+        k = self.config.k_instances
+        grids, masks = trim_to_extent(np.concatenate([fact_grids, self.section_grids]),
+                                      np.concatenate([fact_masks, self.section_masks]))
         all_attr = self.text_encoder(grids, masks, training, dropout_rng)
         h_f_attr = all_attr[:n_facts]
         h_s_attr = all_attr[n_facts:]
-        h_s_struct = self.struct_encoder.encode(graph, self.section_ids, k, sample_seed,
+        h_s_struct = self.struct_encoder.encode(self.graph, self.section_ids, k, sample_seed,
                                                 attr_embeddings=h_s_attr)
         h_f_struct = None
         if fact_ids is not None:
             if not training:
                 raise ValueError("fact-side structural embeddings are training-only")
-            h_f_struct = self.struct_encoder.encode(graph, fact_ids, k, sample_seed,
+            h_f_struct = self.struct_encoder.encode(self.graph, fact_ids, k, sample_seed,
                                                     attr_embeddings=h_f_attr)
         return self.scorer.score_triple(h_f_attr, h_s_attr, h_s_struct, h_f_struct)
 
     # -- inference ----------------------------------------------------------------
 
-    def prepare_inference(self, graph: HeteroGraph, section_grids: np.ndarray,
-                          section_masks: np.ndarray, k: int, seed: int) -> Tensor:
-        """Encode and contextualize the section sets once; reused per fact.
+    def prepare_inference(self) -> Tensor:
+        """Encode and contextualize the section sets once, with walks seeded
+        by the config seed; reused per fact.
 
         Returns the contextualized (attribute, structural) pair (2, n_sec, d')."""
         with no_grad():
-            h_s_attr = self.text_encoder(*trim_to_extent(section_grids, section_masks))
-            h_s_struct = self.struct_encoder.encode(graph, self.section_ids, k, seed,
+            h_s_attr = self.text_encoder(*trim_to_extent(self.section_grids, self.section_masks))
+            h_s_struct = self.struct_encoder.encode(self.graph, self.section_ids,
+                                                    self.config.k_instances, self.config.seed,
                                                     attr_embeddings=h_s_attr)
             return self.scorer.contextualize_sections(ad.stack([h_s_attr, h_s_struct], axis=0))
 

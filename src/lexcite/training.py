@@ -160,60 +160,50 @@ def combined_loss(loss_a: Tensor, loss_s: Tensor | None, loss_l: Tensor,
 # -- prediction --------------------------------------------------------------------
 
 
-class Predictor:
-    """Inference state: section encodings are fixed once (seeded by the
-    config seed), then `predict_corpus` scores each fact independently from
-    its text only.
-
-    Per-fact independence is what makes predictions bit-identical no matter
-    which other documents happen to share the corpus file.
-    """
-
-    def __init__(self, model: Model, graph: HeteroGraph, hierarchy: StatuteHierarchy,
-                 vocab: Vocabulary, config: TrainingConfig):
-        self.model = model
-        self.config = config
-        self.vocab = vocab
-        self.section_ids = model.section_ids
-        sec_grids, sec_masks = encode_corpus(hierarchy.sections, vocab, config.max_sents,
-                                             config.max_words)
-        self.state = model.prepare_inference(graph, sec_grids, sec_masks,
-                                             config.k_instances, config.seed)
-
-
 def _label_set(scores: np.ndarray, tau: float, section_ids: list[str]) -> set[str]:
     return {section_ids[i] for i in np.flatnonzero(scores >= tau)}
 
 
-def predict_corpus(predictor: Predictor, docs: list[FactDocument], tau: float | None = None):
+def predict_corpus(model: Model, docs: list[FactDocument], tau: float | None = None):
     """Per fact: its thresholded label set and its combined score vector
-    lambda_a * attribute + lambda_l * alignment, as (label sets, (n, n_sec))."""
-    config = predictor.config
+    lambda_a * attribute + lambda_l * alignment, as (label sets, (n, n_sec)).
+
+    The sections are encoded once per call; then each fact is scored from its
+    text only, independently of the others. That is what makes predictions
+    bit-identical whichever other documents share the corpus file.
+    """
+    config = model.config
     tau = config.tau if tau is None else tau
+    state = model.prepare_inference()
     preds, all_scores = [], []
     for doc in docs:
-        grid, mask = encode_text(doc, predictor.vocab, config.max_sents, config.max_words)
-        o_attr, o_align = predictor.model.score_one(predictor.state, grid, mask)
+        grid, mask = encode_text(doc, model.vocab, config.max_sents, config.max_words)
+        o_attr, o_align = model.score_one(state, grid, mask)
         scores = config.lambda_a * o_attr + config.lambda_l * o_align
-        preds.append(_label_set(scores, tau, predictor.section_ids))
+        preds.append(_label_set(scores, tau, model.section_ids))
         all_scores.append(scores)
     return preds, np.array(all_scores)
 
 
-def tune_threshold(predictor: Predictor, val_docs: list[FactDocument],
+def tune_threshold(model: Model, val_docs: list[FactDocument],
                    grid=DEFAULT_THRESHOLD_GRID) -> float:
     """Pick the grid threshold maximizing validation macro-F1 (ties: smaller)."""
     if not grid:
         raise ValueError("empty threshold grid")
-    _, scores = predict_corpus(predictor, val_docs)
+    _, scores = predict_corpus(model, val_docs)
     golds = [d.labels for d in val_docs]
-    universe = predictor.section_ids
+    universe = model.section_ids
     best_tau, best_f1 = None, -1.0
     for tau in sorted(grid):
         _, _, f1 = macro_prf([_label_set(row, tau, universe) for row in scores], golds, universe)
         if f1 > best_f1 + 1e-12:
             best_tau, best_f1 = tau, f1
     return float(best_tau)
+
+
+# perfbench/spans.py wraps `Predictor.__init__` and fails to install without
+# it; the inference state now lives on Model, so the name stays as its alias.
+Predictor = Model
 
 
 # -- training loop --------------------------------------------------------------------
@@ -224,33 +214,29 @@ class TrainResult:
     best_epoch: int
     best_val_f1: float
     log: list[dict] = field(default_factory=list)
-    weights: np.ndarray | None = None
 
 
 def _epoch_seed(seed: int, epoch: int) -> int:
     return (seed * 1_000_003 + epoch * 7919 + 17) & 0x7FFFFFFF
 
 
-def train_model(model: Model, graph: HeteroGraph, train_docs: list[FactDocument],
-                val_docs: list[FactDocument], hierarchy: StatuteHierarchy,
-                vocab: Vocabulary, config: TrainingConfig,
+def train_model(model: Model, train_docs: list[FactDocument], val_docs: list[FactDocument],
                 log_hook=None) -> TrainResult:
-    """Adam training over mini-batches with per-epoch validation.
+    """Adam training over mini-batches with per-epoch validation, under the
+    model's own config.
 
     The model is left holding the parameters of the best validation epoch;
     of tied epochs the last, most trained one wins.
     Raises DivergenceError on non-finite loss.
     """
-    section_ids = hierarchy.section_ids
-    grids, masks = encode_corpus(train_docs, vocab, config.max_sents, config.max_words)
-    sec_grids, sec_masks = encode_corpus(hierarchy.sections, vocab, config.max_sents,
-                                         config.max_words)
-    targets = np.stack([hierarchy.label_vector(d.labels) for d in train_docs])
+    config, section_ids = model.config, model.section_ids
+    grids, masks = encode_corpus(train_docs, model.vocab, config.max_sents, config.max_words)
+    targets = np.stack([model.hierarchy.label_vector(d.labels) for d in train_docs])
     freqs = citation_frequencies(train_docs, section_ids)
     weights = class_weights(freqs, len(train_docs), config)
 
     optimizer = nn.Adam(model.parameters(), lr=config.lr)
-    result = TrainResult(best_epoch=-1, best_val_f1=-1.0, weights=weights)
+    result = TrainResult(best_epoch=-1, best_val_f1=-1.0)
     best_state: dict[str, np.ndarray] | None = None
     n = len(train_docs)
 
@@ -266,10 +252,8 @@ def train_model(model: Model, graph: HeteroGraph, train_docs: list[FactDocument]
         for start in range(0, n, config.batch_size):
             batch = order[start : start + config.batch_size]
             fact_ids = [train_docs[i].id for i in batch] if use_structural else None
-            triple = model.forward(
-                graph, grids[batch], masks[batch], sec_grids, sec_masks,
-                config.k_instances, sample_seed, fact_ids=fact_ids, training=True,
-                dropout_rng=dropout_rng)
+            triple = model.forward(grids[batch], masks[batch], sample_seed, fact_ids=fact_ids,
+                                   training=True, dropout_rng=dropout_rng)
             y = targets[batch]
             loss_a = weighted_bce(triple.attribute, y, weights)
             loss_l = weighted_bce(triple.alignment, y, weights)
@@ -291,8 +275,7 @@ def train_model(model: Model, graph: HeteroGraph, train_docs: list[FactDocument]
             sums["total"] += float(loss.data)
             n_batches += 1
 
-        predictor = Predictor(model, graph, hierarchy, vocab, config)
-        val_preds, _ = predict_corpus(predictor, val_docs)
+        val_preds, _ = predict_corpus(model, val_docs)
         _, _, val_f1 = macro_prf(val_preds, [d.labels for d in val_docs], section_ids)
         record = {
             "epoch": epoch,
@@ -318,13 +301,14 @@ def train_model(model: Model, graph: HeteroGraph, train_docs: list[FactDocument]
 # -- checkpointing ------------------------------------------------------------------
 
 
-def save_checkpoint(path, model: Model, vocab: Vocabulary, extra: dict | None = None):
-    """Parameters, vocabulary and the model's training config, stored once."""
+def save_checkpoint(path, model: Model, extra: dict | None = None):
+    """Parameters, vocabulary, section order and training config, stored once."""
+    tokens = model.vocab.tokens[2:]
     meta = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "section_ids": model.section_ids,
-        "vocab_tokens": vocab.tokens[2:],
-        "vocab_freqs": [vocab.freqs[t] for t in vocab.tokens[2:]],
+        "vocab_tokens": tokens,
+        "vocab_freqs": [model.vocab.freqs[t] for t in tokens],
         "train_config": asdict(model.config),
         "extra": extra or {},
     }
@@ -333,7 +317,8 @@ def save_checkpoint(path, model: Model, vocab: Vocabulary, extra: dict | None = 
                         **arrays)
 
 
-def load_checkpoint(path, graph: HeteroGraph):
+def load_checkpoint(path, graph: HeteroGraph, hierarchy: StatuteHierarchy):
+    """The stored model over `graph` and `hierarchy`, and the stored metadata."""
     with np.load(path) as blob:
         meta = json.loads(bytes(blob["__meta__"]).decode())
         if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
@@ -350,6 +335,8 @@ def load_checkpoint(path, graph: HeteroGraph):
                          "contexts), which is no longer supported")
     known = {f.name for f in fields(TrainingConfig)}
     config = TrainingConfig(**{k: v for k, v in values.items() if k in known})
-    model = Model(np.random.default_rng(0), config, len(vocab), graph, meta["section_ids"])
+    if hierarchy.section_ids != meta["section_ids"]:
+        raise ValueError("hierarchy file does not match the checkpoint's section order")
+    model = Model(np.random.default_rng(0), config, vocab, graph, hierarchy)
     model.load_state_arrays(arrays)
-    return model, vocab, meta
+    return model, meta

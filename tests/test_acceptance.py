@@ -23,9 +23,9 @@ from lexcite.model import Model
 from lexcite.scorer import MatchScorer
 from lexcite.split import SplitSpec, iterative_stratified_split
 from lexcite.synth import synth_corpus, write_synth
-from lexcite.training import (Predictor, TrainingConfig, citation_frequencies, class_weights,
-                              class_weights_tws, class_weights_vws, combined_loss,
-                              predict_corpus, train_model, tune_threshold, weighted_bce)
+from lexcite.training import (TrainingConfig, citation_frequencies, class_weights,
+                              class_weights_tws, class_weights_vws, combined_loss, predict_corpus,
+                              train_model, tune_threshold, weighted_bce)
 
 from conftest import make_fact
 from oracles import (average_labels_per_doc, conforms, enumerate_instances, fd_gradients,
@@ -57,15 +57,13 @@ def synth500(tmp_path_factory):
     graph = build_citation_graph(train, hierarchy)
     vocab = build_vocab([d.tokens() for d in train] + [s.tokens() for s in hierarchy.sections])
     config = TrainingConfig.desk_scale(seed=0)
-    model = Model(np.random.default_rng(config.seed), config, len(vocab), graph,
-                  hierarchy.section_ids)
-    result = train_model(model, graph, train, val, hierarchy, vocab, config)
-    predictor = Predictor(model, graph, hierarchy, vocab, config)
-    tuned_tau = tune_threshold(predictor, val)
+    model = Model(np.random.default_rng(config.seed), config, vocab, graph, hierarchy)
+    result = train_model(model, train, val)
+    tuned_tau = tune_threshold(model, val)
     return {
         "tmp": tmp, "hierarchy": hierarchy, "train": train, "val": val, "test": test,
         "graph": graph, "vocab": vocab, "config": config, "model": model,
-        "predictor": predictor, "tuned_tau": tuned_tau, "train_result": result,
+        "tuned_tau": tuned_tau, "train_result": result,
         "runtime": time.time() - t0, "facts_path": facts_path, "hier_path": hier_path,
     }
 
@@ -83,17 +81,14 @@ def test_criterion_1_gradient_fidelity(tmp_path):
     cfg = TrainingConfig(d_prime=8, d_node=8, d_m=8, d_s=8, embed_dim=8, max_sents=3,
                          max_words=6, k_instances=2, batch_size=4, dropout=0.0, epochs=1,
                          lr=1e-3, seed=0)
-    model = Model(np.random.default_rng(0), cfg, len(vocab), graph,
-                  hierarchy.section_ids)
+    model = Model(np.random.default_rng(0), cfg, vocab, graph, hierarchy)
     grids, masks = encode_corpus(docs, vocab, cfg.max_sents, cfg.max_words)
-    sec_grids, sec_masks = encode_corpus(hierarchy.sections, vocab, cfg.max_sents, cfg.max_words)
     targets = np.stack([hierarchy.label_vector(d.labels) for d in docs])
     weights = class_weights(citation_frequencies(docs, hierarchy.section_ids), len(docs), cfg)
     fact_ids = [d.id for d in docs]
 
     def loss_tensor():
-        triple = model.forward(graph, grids, masks, sec_grids, sec_masks, cfg.k_instances,
-                               sample_seed=7, fact_ids=fact_ids, training=True)
+        triple = model.forward(grids, masks, sample_seed=7, fact_ids=fact_ids, training=True)
         return combined_loss(weighted_bce(triple.attribute, targets, weights),
                              weighted_bce(triple.structural, targets, weights),
                              weighted_bce(triple.alignment, targets, weights), cfg)
@@ -282,7 +277,7 @@ def test_criterion_3_formula_oracles():
 
 def test_criterion_4_synthetic_end_to_end(synth500):
     s = synth500
-    preds, _ = predict_corpus(s["predictor"], s["test"], tau=s["tuned_tau"])
+    preds, _ = predict_corpus(s["model"], s["test"], tau=s["tuned_tau"])
     golds = [d.labels for d in s["test"]]
     _, _, macro_f1 = macro_prf(preds, golds, s["hierarchy"].section_ids)
 
@@ -334,11 +329,9 @@ def test_criterion_5_ablation_direction(tmp_path):
                                  d_s=32, embed_dim=32, max_sents=8, max_words=16,
                                  k_instances=8, batch_size=32, dropout=0.5,
                                  lr=3e-3).with_ablation(ablation)
-            model = Model(np.random.default_rng(seed), cfg, len(vocab), graph,
-                          hierarchy.section_ids)
-            train_model(model, graph, train, val, hierarchy, vocab, cfg)
-            predictor = Predictor(model, graph, hierarchy, vocab, cfg)
-            preds, _ = predict_corpus(predictor, test)
+            model = Model(np.random.default_rng(seed), cfg, vocab, graph, hierarchy)
+            train_model(model, train, val)
+            preds, _ = predict_corpus(model, test)
             scores.append(macro_prf(preds, golds, hierarchy.section_ids)[2])
         means[ablation] = float(np.mean(scores))
         per_seed[ablation] = [round(s, 1) for s in scores]
@@ -358,11 +351,10 @@ def test_criterion_5_ablation_direction(tmp_path):
 
 def test_criterion_6_inductive_hygiene(synth500, tmp_path):
     s = synth500
-    graph, config, model = s["graph"], s["config"], s["model"]
+    graph, model = s["graph"], s["model"]
 
     graph.recorder = []
-    predictor = Predictor(model, graph, s["hierarchy"], s["vocab"], config)
-    preds_a, scores_a = predict_corpus(predictor, s["test"])
+    preds_a, scores_a = predict_corpus(model, s["test"])
     recorded = set(graph.recorder)
     graph.recorder = None
     test_ids = {d.id for d in s["test"]}
@@ -386,8 +378,7 @@ def test_criterion_6_inductive_hygiene(synth500, tmp_path):
             rec = dict(rec, id="extra_" + rec["id"])
             fh.write(json.dumps(rec) + "\n")
     docs_b = load_facts(augmented, s["hierarchy"])
-    predictor_b = Predictor(model, graph, s["hierarchy"], s["vocab"], config)
-    preds_b, scores_b = predict_corpus(predictor_b, docs_b)
+    preds_b, scores_b = predict_corpus(model, docs_b)
     for i, doc in enumerate(s["test"]):
         assert docs_b[i].id == doc.id
         npt.assert_array_equal(scores_b[i], scores_a[i])
@@ -436,8 +427,8 @@ def test_criterion_8_threshold_behavior(synth500):
     golds = [d.labels for d in s["test"]]
     universe = s["hierarchy"].section_ids
 
-    preds_tuned, _ = predict_corpus(s["predictor"], s["test"], tau=s["tuned_tau"])
-    preds_low, _ = predict_corpus(s["predictor"], s["test"], tau=0.3)
+    preds_tuned, _ = predict_corpus(s["model"], s["test"], tau=s["tuned_tau"])
+    preds_low, _ = predict_corpus(s["model"], s["test"], tau=0.3)
     p_tuned, r_tuned, _ = macro_prf(preds_tuned, golds, universe)
     p_low, r_low, _ = macro_prf(preds_low, golds, universe)
 

@@ -222,6 +222,50 @@ def test_missing_input_file_is_an_error_line(pipeline, tmp_path, capsys, command
     assert not (out / "effective_config.json").exists()
 
 
+def _reverse_every_list(node):
+    if isinstance(node, list):
+        return [_reverse_every_list(item) for item in reversed(node)]
+    if isinstance(node, dict):
+        return {k: _reverse_every_list(v) for k, v in node.items()}
+    return node
+
+
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+def test_hierarchy_in_another_order_is_refused(pipeline, tmp_path, capsys, command):
+    hierarchy = json.loads((pipeline / "data" / "hierarchy.json").read_text())
+    reordered = tmp_path / "reordered.json"
+    reordered.write_text(json.dumps(_reverse_every_list(hierarchy)))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([command, "--checkpoint", str(pipeline / "run" / "checkpoint.npz"),
+                 "--graph", str(pipeline / "graph" / "graph.json"),
+                 "--hierarchy", str(reordered),
+                 "--facts", str(pipeline / "splits" / "test.jsonl"),
+                 "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "section order" in err[0]
+    assert not (out / "effective_config.json").exists()
+
+
+def test_vectors_of_another_width_are_refused(pipeline, tmp_path, capsys):
+    # embed_dim is 16; a 3-d file must not silently leave every embedding random
+    tokens = (pipeline / "data" / "facts.jsonl").read_text().split()[:5]
+    vectors = tmp_path / "vec.txt"
+    vectors.write_text("".join(f"{t} 0.1 0.2 0.3\n" for t in tokens))
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert main(["train", "--facts", str(pipeline / "splits" / "train.jsonl"),
+                 "--val-facts", str(pipeline / "splits" / "validation.jsonl"),
+                 "--hierarchy", str(pipeline / "data" / "hierarchy.json"),
+                 "--graph", str(pipeline / "graph" / "graph.json"),
+                 "--config", str(pipeline / "config.json"), "--vectors", str(vectors),
+                 "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "widths seen: [3]" in err
+    assert not (out / "train_log.jsonl").exists()
+    assert not (out / "checkpoint.npz").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["predict", "--checkpoint", "c.npz", "--graph", "g.json", "--hierarchy", "h.json",
      "--facts", "f.jsonl", "--seed", "1"],

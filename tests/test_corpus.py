@@ -173,6 +173,14 @@ class TestVocabulary:
         assert not found[vocab.encode("beta")]
         np.testing.assert_allclose(matrix[vocab.encode("alpha")], [1.0, 2.0])
 
+    def test_vectors_of_another_width_refused(self, tmp_path):
+        # a file with no line of the configured width would leave every
+        # embedding at its random initialization
+        vocab = build_vocab([["alpha", "beta"]], min_freq=1)
+        (tmp_path / "vec.txt").write_text("alpha 1.0 2.0 3.0\n\nbeta 4.0 5.0 6.0\nx 1\n")
+        with pytest.raises(CorpusError, match=r"width 2 .*widths seen: \[1, 3\]"):
+            vocab.load_vectors(tmp_path / "vec.txt", dim=2)
+
 
 class TestEncodeText:
     def setup_method(self):

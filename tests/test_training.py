@@ -13,7 +13,7 @@ from lexcite.han import TextEncoder
 from lexcite.model import Model
 from lexcite.split import SplitSpec, iterative_stratified_split
 from lexcite.synth import write_synth
-from lexcite.training import (DivergenceError, Predictor, TrainingConfig, citation_frequencies,
+from lexcite.training import (DivergenceError, TrainingConfig, citation_frequencies,
                               class_weights_tws, class_weights_vws, combined_loss,
                               predict_corpus, train_model, tune_threshold, weighted_bce)
 
@@ -33,8 +33,7 @@ def tiny_setup(tmp_path, n_docs=24, n_sections=3, seed=0, epochs=2, **overrides)
     graph = build_citation_graph(train, hierarchy)
     vocab = build_vocab([d.tokens() for d in train] + [s.tokens() for s in hierarchy.sections])
     config = TrainingConfig(epochs=epochs, seed=seed, **{**TINY, **overrides})
-    model = Model(np.random.default_rng(seed), config, len(vocab), graph,
-                  hierarchy.section_ids)
+    model = Model(np.random.default_rng(seed), config, vocab, graph, hierarchy)
     return model, graph, train, val, test, hierarchy, vocab, config
 
 
@@ -189,7 +188,7 @@ class TestTrainLoop:
         for seed in range(5):
             model, graph, train, val, _, hierarchy, vocab, config = tiny_setup(
                 tmp_path / f"s{seed}", n_docs=20, n_sections=3, seed=seed, epochs=2)
-            result = train_model(model, graph, train, val, hierarchy, vocab, config)
+            result = train_model(model, train, val)
             if result.log[1]["loss"] < result.log[0]["loss"]:
                 improved += 1
         assert improved >= 4
@@ -198,7 +197,7 @@ class TestTrainLoop:
         model, graph, train, val, _, hierarchy, vocab, config = tiny_setup(
             tmp_path, epochs=1, theta_a=0.0, theta_s=0.0, theta_l=0.0)
         before = {k: v.copy() for k, v in model.state_arrays().items()}
-        train_model(model, graph, train, val, hierarchy, vocab, config)
+        train_model(model, train, val)
         # the best-epoch state is restored, so compare raw arrays
         for name, arr in model.state_arrays().items():
             npt.assert_array_equal(arr, before[name], err_msg=name)
@@ -208,7 +207,7 @@ class TestTrainLoop:
         for _ in range(2):
             model, graph, train, val, _, hierarchy, vocab, config = tiny_setup(
                 tmp_path / "det", n_docs=20, epochs=1, dropout=0.5)
-            result = train_model(model, graph, train, val, hierarchy, vocab, config)
+            result = train_model(model, train, val)
             runs.append(result.log[0])
         assert runs[0] == runs[1]
 
@@ -217,7 +216,7 @@ class TestTrainLoop:
         monkeypatch.setattr(training, "macro_prf", lambda *args, **kwargs: (0.0, 0.0, 0.0))
         model, graph, train, val, _, hierarchy, vocab, config = tiny_setup(tmp_path, epochs=3)
         seen = []
-        result = train_model(model, graph, train, val, hierarchy, vocab, config,
+        result = train_model(model, train, val,
                              log_hook=lambda record: seen.append(model.state_arrays()))
         assert result.best_epoch == config.epochs - 1
         for name, arr in model.state_arrays().items():
@@ -244,9 +243,8 @@ class TestTrainLoop:
         vocab = build_vocab([d.tokens() for d in train] + [s.tokens() for s in hierarchy.sections])
         config = TrainingConfig(epochs=1)
         assert (config.d_prime, config.max_sents, config.max_words) == (200, 128, 64)
-        model = Model(np.random.default_rng(0), config, len(vocab), graph,
-                      hierarchy.section_ids)
-        result = train_model(model, graph, train, val, hierarchy, vocab, config)
+        model = Model(np.random.default_rng(0), config, vocab, graph, hierarchy)
+        result = train_model(model, train, val)
         (record,) = result.log
         assert all(np.isfinite(record[k]) for k in
                    ("loss_attribute", "loss_structural", "loss_alignment", "loss"))
@@ -257,20 +255,19 @@ class TestTrainLoop:
         model, graph, train, val, _, hierarchy, vocab, config = tiny_setup(tmp_path, epochs=1)
         model.scorer.classifier_b.data[:] = np.nan
         with pytest.raises(DivergenceError, match="non-finite"):
-            train_model(model, graph, train, val, hierarchy, vocab, config)
+            train_model(model, train, val)
 
 
 class TestPrediction:
     def test_threshold_arithmetic(self, tmp_path, monkeypatch):
         model, graph, train, val, _, hierarchy, vocab, config = tiny_setup(tmp_path, epochs=1)
-        predictor = Predictor(model, graph, hierarchy, vocab, config)
         fixed = {
             "attr": np.array([0.8, 1.0, 0.2]),
             "align": np.array([0.8, 0.5, 0.2]),
         }
         monkeypatch.setattr(model, "score_one",
                             lambda state, grid, mask: (fixed["attr"], fixed["align"]))
-        preds, scores = predict_corpus(predictor, [train[0]])
+        preds, scores = predict_corpus(model, [train[0]])
         # 0.25*0.8 + 0.75*0.8 = 0.8 >= 0.65 predicted
         # 0.25*1.0 + 0.75*0.5 = 0.625 < 0.65 not predicted
         npt.assert_allclose(scores[0], [0.8, 0.625, 0.2])
@@ -278,18 +275,16 @@ class TestPrediction:
 
     def test_recall_tuned_threshold_is_config_change(self, tmp_path, monkeypatch):
         model, graph, train, val, _, hierarchy, vocab, config = tiny_setup(tmp_path, epochs=1)
-        predictor = Predictor(model, graph, hierarchy, vocab, config)
         monkeypatch.setattr(model, "score_one",
                             lambda state, grid, mask: (np.array([0.8, 1.0, 0.2]),
                                                        np.array([0.8, 0.5, 0.2])))
-        preds, _ = predict_corpus(predictor, [train[0]], tau=0.3)
+        preds, _ = predict_corpus(model, [train[0]], tau=0.3)
         assert preds[0] == {hierarchy.section_ids[0], hierarchy.section_ids[1]}
 
     def test_predict_never_touches_fact_neighbourhoods(self, tmp_path):
         model, graph, train, val, test, hierarchy, vocab, config = tiny_setup(tmp_path, epochs=1)
         graph.recorder = []
-        predictor = Predictor(model, graph, hierarchy, vocab, config)
-        predict_corpus(predictor, test)
+        predict_corpus(model, test)
         test_ids = {d.id for d in test}
         assert not (set(graph.recorder) & test_ids)
         queried_facts = {n for n in graph.recorder if graph.phi(n) == "F"}
@@ -300,17 +295,15 @@ class TestPrediction:
 class TestTuneThreshold:
     def test_single_value_grid(self, tmp_path):
         model, graph, train, val, _, hierarchy, vocab, config = tiny_setup(tmp_path, epochs=1)
-        predictor = Predictor(model, graph, hierarchy, vocab, config)
-        assert tune_threshold(predictor, val, grid=(0.4,)) == 0.4
+        assert tune_threshold(model, val, grid=(0.4,)) == 0.4
 
     def test_returns_grid_maximum(self, tmp_path):
         from lexcite.metrics import macro_prf
         model, graph, train, val, _, hierarchy, vocab, config = tiny_setup(
             tmp_path, n_docs=40, epochs=2)
-        train_model(model, graph, train, val, hierarchy, vocab, config)
-        predictor = Predictor(model, graph, hierarchy, vocab, config)
-        tau = tune_threshold(predictor, val)
-        _, scores = predict_corpus(predictor, val)
+        train_model(model, train, val)
+        tau = tune_threshold(model, val)
+        _, scores = predict_corpus(model, val)
         golds = [d.labels for d in val]
 
         def f1_at(t):
