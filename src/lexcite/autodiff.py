@@ -16,6 +16,13 @@ Ops test whether anything is recording before they build a VJP: when no
 input requires a gradient, or inside :func:`no_grad`, they return a plain
 value and create no closure, which matters because finite-difference checks
 re-run forward passes thousands of times.
+
+The recurrences are whole-op nodes: :func:`gru_scan` and :func:`lstm_scan`
+run one direction's time loop in numpy and record a single node for all of
+its steps, so the tape does not grow with sequence length. Their VJPs share
+one backprop-through-time pass, run on the first VJP call for a given output
+gradient; the parameters' gradients then come from one GEMM over the stacked
+states, not one per step.
 """
 
 from __future__ import annotations
@@ -215,9 +222,13 @@ def tanh(a):
     return _tracked(out_data, a, lambda g: g * (1.0 - out_data * out_data))
 
 
+def _sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
 def sigmoid(a):
     a = _as_tensor(a)
-    out_data = 1.0 / (1.0 + np.exp(-a.data))
+    out_data = _sigmoid(a.data)
     if not (_grad_enabled and a.requires_grad):
         return _raw(out_data)
     return _tracked(out_data, a, lambda g: g * out_data * (1.0 - out_data))
@@ -389,3 +400,157 @@ def scatter_rows(values, idx, n_rows):
     if not (_grad_enabled and values.requires_grad):
         return _raw(data)
     return _tracked(data, values, lambda g: g[idx])
+
+
+# -- fused recurrences --------------------------------------------------------
+
+
+def _shared_shares(bptt):
+    """Run `bptt(g)` once per output gradient `g`; each input's VJP then
+    takes its own entry of the returned tuple."""
+    memo = [None, None]
+
+    def shares(g):
+        if memo[0] is not g:
+            memo[0], memo[1] = g, bptt(g)
+        return memo[1]
+    return shares
+
+
+def _started_from(states, reverse):
+    """The state each step of a scan started from: the (N, T, h) states
+    moved one step along the processing order, with zeros at the first."""
+    prev = np.zeros_like(states)
+    if reverse:
+        prev[:, :-1] = states[:, 1:]
+    else:
+        prev[:, 1:] = states[:, :-1]
+    return prev
+
+
+def gru_scan(pre, mask, u_zr, u_n, reverse=False):
+    """One direction of a GRU over the input projection `pre` (N, T, 3h),
+    whose last axis holds the update, reset and candidate pre-activations.
+    Returns the (N, T, h) states, one per time step, as a single node.
+
+    Steps where `mask` (N, T) is 0 carry the previous state through
+    unchanged. `reverse` runs from the last step to the first. The forward
+    pass is per-step numpy in the order of the unfused layer; the backward
+    pass is one BPTT loop whose result serves all three VJPs.
+    """
+    pre, u_zr, u_n = _as_tensor(pre), _as_tensor(u_zr), _as_tensor(u_n)
+    n, t_len, h3 = pre.data.shape
+    h = h3 // 3
+    uzr, un = u_zr.data, u_n.data
+    record = _grad_enabled and (pre.requires_grad or u_zr.requires_grad or u_n.requires_grad)
+    keep = mask.astype(np.float64)
+    order = range(t_len - 1, -1, -1) if reverse else range(t_len)
+    data = np.empty((n, t_len, h))
+    if record:  # per step: gate activations, candidate and r * h
+        zrs = np.empty((n, t_len, 2 * h))
+        cands = np.empty((n, t_len, h))
+        rhs = np.empty((n, t_len, h))
+    state = np.zeros((n, h))
+    for t in order:
+        pre_t = pre.data[:, t, :]
+        zr = _sigmoid(pre_t[:, : 2 * h] + state @ uzr)
+        z = zr[:, :h]
+        r = zr[:, h:]
+        rh = r * state
+        ncand = np.tanh(pre_t[:, 2 * h:] + rh @ un)
+        new = (1.0 - z) * ncand + z * state
+        m = keep[:, t : t + 1]
+        new = new * m + state * (1.0 - m)
+        if record:
+            zrs[:, t], cands[:, t], rhs[:, t] = zr, ncand, rh
+        state = new
+        data[:, t] = state
+    if not record:
+        return _raw(data)
+
+    def bptt(g):
+        prev = _started_from(data, reverse)
+        dpre = np.empty((n, t_len, h3))
+        carry = np.zeros((n, h))
+        for t in reversed(order):
+            dh = g[:, t] + carry
+            m = keep[:, t : t + 1]
+            passed = dh * (1.0 - m)  # a padded step hands its gradient straight back
+            dh = dh * m
+            zr, ncand, h_prev = zrs[:, t], cands[:, t], prev[:, t]
+            z, r = zr[:, :h], zr[:, h:]
+            d = dpre[:, t]
+            d[:, 2 * h:] = dh * (1.0 - z) * (1.0 - ncand * ncand)
+            drh = d[:, 2 * h:] @ un.T
+            d[:, :h] = dh * (h_prev - ncand)
+            d[:, h : 2 * h] = drh * h_prev
+            d[:, : 2 * h] *= zr * (1.0 - zr)
+            carry = dh * z + drh * r + d[:, : 2 * h] @ uzr.T + passed
+        rows = n * t_len
+        d_uzr = prev.reshape(rows, h).T @ dpre[:, :, : 2 * h].reshape(rows, 2 * h)
+        d_un = rhs.reshape(rows, h).T @ dpre[:, :, 2 * h:].reshape(rows, h)
+        return dpre, d_uzr, d_un
+
+    shares = _shared_shares(bptt)
+    return _tracked(data, pre, lambda g: shares(g)[0], u_zr, lambda g: shares(g)[1],
+                    u_n, lambda g: shares(g)[2])
+
+
+def lstm_scan(pre, u, reverse=False):
+    """One direction of an LSTM over the input projection `pre` (N, T, 4h),
+    whose last axis holds the input, forget, cell and output gate
+    pre-activations. Returns the (N, T, h) hidden states as a single node;
+    like :func:`gru_scan`, forward is per-step numpy and backward is one
+    BPTT loop shared by both VJPs.
+    """
+    pre, u = _as_tensor(pre), _as_tensor(u)
+    n, t_len, h4 = pre.data.shape
+    h = h4 // 4
+    ud = u.data
+    record = _grad_enabled and (pre.requires_grad or u.requires_grad)
+    order = range(t_len - 1, -1, -1) if reverse else range(t_len)
+    data = np.empty((n, t_len, h))
+    if record:  # per step: cell state, the four gate activations and tanh c
+        cells = np.empty((n, t_len, h))
+        acts = np.empty((n, t_len, h4))
+        tanh_cells = np.empty((n, t_len, h))
+    hs = np.zeros((n, h))
+    cs = np.zeros((n, h))
+    for t in order:
+        gates = pre.data[:, t, :] + hs @ ud
+        i = _sigmoid(gates[:, :h])
+        f = _sigmoid(gates[:, h : 2 * h])
+        g = np.tanh(gates[:, 2 * h : 3 * h])
+        o = _sigmoid(gates[:, 3 * h:])
+        cs = f * cs + i * g
+        tc = np.tanh(cs)
+        hs = o * tc
+        data[:, t] = hs
+        if record:
+            cells[:, t], tanh_cells[:, t] = cs, tc
+            acts[:, t] = np.concatenate((i, f, g, o), axis=1)
+    if not record:
+        return _raw(data)
+
+    def bptt(grad):
+        prev_h, prev_c = _started_from(data, reverse), _started_from(cells, reverse)
+        dpre = np.empty((n, t_len, h4))
+        dh_carry = np.zeros((n, h))
+        dc_carry = np.zeros((n, h))
+        for t in reversed(order):
+            act, tc = acts[:, t], tanh_cells[:, t]
+            i, f, g, o = act[:, :h], act[:, h : 2 * h], act[:, 2 * h : 3 * h], act[:, 3 * h:]
+            dh = grad[:, t] + dh_carry
+            dc = dc_carry + dh * o * (1.0 - tc * tc)
+            d = dpre[:, t]
+            d[:, :h] = dc * g * i * (1.0 - i)
+            d[:, h : 2 * h] = dc * prev_c[:, t] * f * (1.0 - f)
+            d[:, 2 * h : 3 * h] = dc * i * (1.0 - g * g)
+            d[:, 3 * h:] = dh * tc * o * (1.0 - o)
+            dc_carry = dc * f
+            dh_carry = d @ ud.T
+        rows = n * t_len
+        return dpre, prev_h.reshape(rows, h).T @ dpre.reshape(rows, h4)
+
+    shares = _shared_shares(bptt)
+    return _tracked(data, pre, lambda g: shares(g)[0], u, lambda g: shares(g)[1])

@@ -151,9 +151,7 @@ def cmd_build_graph(args) -> int:
 def cmd_train(args) -> int:
     config, ablation = _resolve_config(args)
     _check_role(args.facts, "train")
-    _echo_and_store(args.out_dir, "train", {**asdict(config), "ablation": ablation,
-                                            "facts": str(args.facts), "val_facts": str(args.val_facts),
-                                            "graph": str(args.graph)})
+    # Read every input before writing anything, so a refused one leaves no output.
     hierarchy = load_hierarchy(args.hierarchy)
     train_docs = _load_corpus(args.facts, hierarchy)
     val_docs = _load_corpus(args.val_facts, hierarchy)
@@ -164,6 +162,10 @@ def cmd_train(args) -> int:
     pretrained = pretrained_mask = None
     if args.vectors:
         pretrained, pretrained_mask = vocab.load_vectors(args.vectors, config.embed_dim)
+    _echo_and_store(args.out_dir, "train", {**asdict(config), "ablation": ablation,
+                                            "facts": str(args.facts), "val_facts": str(args.val_facts),
+                                            "graph": str(args.graph)})
+    if args.vectors:
         print(f"initialized {int(pretrained_mask.sum())}/{len(vocab)} embeddings "
               f"from {args.vectors}")
     rng = np.random.default_rng(config.seed)

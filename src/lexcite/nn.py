@@ -32,12 +32,12 @@ class BiGRU:
     Hidden size is per direction; the output concatenates both directions,
     so it has width ``2 * hidden``. Padded steps (mask 0) carry the hidden
     state through unchanged, which makes outputs at real positions exactly
-    independent of trailing padding.
+    independent of trailing padding. Each direction is one batched input
+    projection and one :func:`~lexcite.autodiff.gru_scan` node, so the tape
+    holds a fixed number of nodes whatever the sequence length.
     """
 
     def __init__(self, rng: np.random.Generator, d_in: int, hidden: int, name: str):
-        self.d_in = d_in
-        self.hidden = hidden
         self.name = name
         self.params = {}
         for d in ("fw", "bw"):
@@ -46,47 +46,24 @@ class BiGRU:
             self.params[f"{name}.{d}.U_n"] = glorot_init(rng, (hidden, hidden))
             self.params[f"{name}.{d}.b"] = zeros_init((3 * hidden,))
 
-    def _direction(self, x: Tensor, mask: np.ndarray | None, d: str) -> list[Tensor]:
-        n, t_len, _ = x.shape
-        h = self.hidden
-        w = self.params[f"{self.name}.{d}.W"]
-        u_zr = self.params[f"{self.name}.{d}.U_zr"]
-        u_n = self.params[f"{self.name}.{d}.U_n"]
-        b = self.params[f"{self.name}.{d}.b"]
+    def _direction(self, x: Tensor, mask: np.ndarray, d: str) -> Tensor:
+        p = self.params
+        pre = _project(x, p[f"{self.name}.{d}.W"], p[f"{self.name}.{d}.b"])
+        return ad.gru_scan(pre, mask, p[f"{self.name}.{d}.U_zr"], p[f"{self.name}.{d}.U_n"],
+                           reverse=d == "bw")
 
-        # One big input projection for all steps.
-        pre = ad.add(ad.matmul(ad.reshape(x, (n * t_len, self.d_in)), w), b)
-        pre = ad.reshape(pre, (n, t_len, 3 * h))
-
-        order = range(t_len) if d == "fw" else range(t_len - 1, -1, -1)
-        state = Tensor(np.zeros((n, h)))
-        outs: list[Tensor | None] = [None] * t_len
-        for t in order:
-            pre_t = pre[:, t, :]
-            zr = ad.sigmoid(ad.add(pre_t[:, : 2 * h], ad.matmul(state, u_zr)))
-            z = zr[:, :h]
-            r = zr[:, h:]
-            ncand = ad.tanh(ad.add(pre_t[:, 2 * h :], ad.matmul(ad.mul(r, state), u_n)))
-            new = ad.add(ad.mul(ad.sub(1.0, z), ncand), ad.mul(z, state))
-            if mask is not None:
-                m = mask[:, t : t + 1].astype(np.float64)
-                new = ad.add(ad.mul(new, m), ad.mul(state, 1.0 - m))
-            state = new
-            outs[t] = state
-        return outs  # type: ignore[return-value]
-
-    def __call__(self, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
-        fw = self._direction(x, mask, "fw")
-        bw = self._direction(x, mask, "bw")
-        return ad.concat([ad.stack(fw, axis=1), ad.stack(bw, axis=1)], axis=2)
+    def __call__(self, x: Tensor, mask: np.ndarray) -> Tensor:
+        return ad.concat([self._direction(x, mask, "fw"), self._direction(x, mask, "bw")], axis=2)
 
 
 class BiLSTM:
-    """Bidirectional LSTM over (N, T, d_in); output width ``2 * hidden``."""
+    """Bidirectional LSTM over (N, T, d_in); output width ``2 * hidden``.
+
+    Like :class:`BiGRU`, each direction is one input projection and one
+    :func:`~lexcite.autodiff.lstm_scan` node.
+    """
 
     def __init__(self, rng: np.random.Generator, d_in: int, hidden: int, name: str):
-        self.d_in = d_in
-        self.hidden = hidden
         self.name = name
         self.params = {}
         for d in ("fw", "bw"):
@@ -94,35 +71,20 @@ class BiLSTM:
             self.params[f"{name}.{d}.U"] = glorot_init(rng, (hidden, 4 * hidden))
             self.params[f"{name}.{d}.b"] = zeros_init((4 * hidden,))
 
-    def _direction(self, x: Tensor, d: str) -> list[Tensor]:
-        n, t_len, _ = x.shape
-        h = self.hidden
-        w = self.params[f"{self.name}.{d}.W"]
-        u = self.params[f"{self.name}.{d}.U"]
-        b = self.params[f"{self.name}.{d}.b"]
-
-        pre = ad.add(ad.matmul(ad.reshape(x, (n * t_len, self.d_in)), w), b)
-        pre = ad.reshape(pre, (n, t_len, 4 * h))
-
-        order = range(t_len) if d == "fw" else range(t_len - 1, -1, -1)
-        hs = Tensor(np.zeros((n, h)))
-        cs = Tensor(np.zeros((n, h)))
-        outs: list[Tensor | None] = [None] * t_len
-        for t in order:
-            gates = ad.add(pre[:, t, :], ad.matmul(hs, u))
-            i = ad.sigmoid(gates[:, :h])
-            f = ad.sigmoid(gates[:, h : 2 * h])
-            g = ad.tanh(gates[:, 2 * h : 3 * h])
-            o = ad.sigmoid(gates[:, 3 * h :])
-            cs = ad.add(ad.mul(f, cs), ad.mul(i, g))
-            hs = ad.mul(o, ad.tanh(cs))
-            outs[t] = hs
-        return outs  # type: ignore[return-value]
+    def _direction(self, x: Tensor, d: str) -> Tensor:
+        p = self.params
+        pre = _project(x, p[f"{self.name}.{d}.W"], p[f"{self.name}.{d}.b"])
+        return ad.lstm_scan(pre, p[f"{self.name}.{d}.U"], reverse=d == "bw")
 
     def __call__(self, x: Tensor) -> Tensor:
-        fw = self._direction(x, "fw")
-        bw = self._direction(x, "bw")
-        return ad.concat([ad.stack(fw, axis=1), ad.stack(bw, axis=1)], axis=2)
+        return ad.concat([self._direction(x, "fw"), self._direction(x, "bw")], axis=2)
+
+
+def _project(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """The input projection of every step at once: (N, T, d_in) -> (N, T, k)."""
+    n, t_len, d_in = x.shape
+    pre = ad.add(ad.matmul(ad.reshape(x, (n * t_len, d_in)), w), b)
+    return ad.reshape(pre, (n, t_len, w.shape[1]))
 
 
 def additive_attention(h: Tensor, m: Tensor, b: Tensor, context: Tensor,

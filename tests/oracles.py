@@ -3,13 +3,18 @@
 Everything here is written with plain Python loops over floats (and, for the
 graph, over the public neighbour queries), deliberately avoiding the
 vectorized code paths under test. These are the oracles the
-test suite compares against.
+test suite compares against. The one exception is the pair of unfused
+recurrences, which record every time step as elementary tape ops and so
+check the fused scan ops, forward and backward, on the tape itself.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
+from lexcite import autodiff as ad
 from lexcite.corpus import CorpusError
 from lexcite.graph import MetapathInstance
 
@@ -129,6 +134,61 @@ def lstm_scalar(xs, w, u, b, hidden):
         h = [o_g[i] * math.tanh(c[i]) for i in range(hidden)]
         states.append(list(h))
     return states
+
+
+def _projection(layer, x, d):
+    n, t_len, d_in = x.shape
+    w, b = layer.params[f"{layer.name}.{d}.W"], layer.params[f"{layer.name}.{d}.b"]
+    pre = ad.add(ad.matmul(ad.reshape(x, (n * t_len, d_in)), w), b)
+    return ad.reshape(pre, (n, t_len, w.shape[1]))
+
+
+def bigru_direction_unfused(layer, x, mask, d):
+    """One direction of an `nn.BiGRU`, one set of tape nodes per time step;
+    returns the (N, T, hidden) states."""
+    n, t_len, _ = x.shape
+    u_zr = layer.params[f"{layer.name}.{d}.U_zr"]
+    u_n = layer.params[f"{layer.name}.{d}.U_n"]
+    h = u_n.shape[0]
+    pre = _projection(layer, x, d)
+    order = range(t_len) if d == "fw" else range(t_len - 1, -1, -1)
+    state = ad.Tensor(np.zeros((n, h)))
+    outs = [None] * t_len
+    for t in order:
+        pre_t = pre[:, t, :]
+        zr = ad.sigmoid(ad.add(pre_t[:, : 2 * h], ad.matmul(state, u_zr)))
+        z = zr[:, :h]
+        r = zr[:, h:]
+        ncand = ad.tanh(ad.add(pre_t[:, 2 * h:], ad.matmul(ad.mul(r, state), u_n)))
+        new = ad.add(ad.mul(ad.sub(1.0, z), ncand), ad.mul(z, state))
+        m = mask[:, t : t + 1].astype(np.float64)
+        new = ad.add(ad.mul(new, m), ad.mul(state, 1.0 - m))
+        state = new
+        outs[t] = state
+    return ad.stack(outs, axis=1)
+
+
+def bilstm_direction_unfused(layer, x, d):
+    """One direction of an `nn.BiLSTM`, one set of tape nodes per time step;
+    returns the (N, T, hidden) hidden states."""
+    n, t_len, _ = x.shape
+    u = layer.params[f"{layer.name}.{d}.U"]
+    h = u.shape[0]
+    pre = _projection(layer, x, d)
+    order = range(t_len) if d == "fw" else range(t_len - 1, -1, -1)
+    hs = ad.Tensor(np.zeros((n, h)))
+    cs = ad.Tensor(np.zeros((n, h)))
+    outs = [None] * t_len
+    for t in order:
+        gates = ad.add(pre[:, t, :], ad.matmul(hs, u))
+        i = ad.sigmoid(gates[:, :h])
+        f = ad.sigmoid(gates[:, h : 2 * h])
+        g = ad.tanh(gates[:, 2 * h : 3 * h])
+        o = ad.sigmoid(gates[:, 3 * h:])
+        cs = ad.add(ad.mul(f, cs), ad.mul(i, g))
+        hs = ad.mul(o, ad.tanh(cs))
+        outs[t] = hs
+    return ad.stack(outs, axis=1)
 
 
 def attention_pool_scalar(vecs, m_mat, b_vec, context, mask=None):

@@ -262,6 +262,7 @@ def test_vectors_of_another_width_are_refused(pipeline, tmp_path, capsys):
                  "--out-dir", str(out)]) == 1
     err = capsys.readouterr().err
     assert "error:" in err and "widths seen: [3]" in err
+    assert not (out / "effective_config.json").exists()
     assert not (out / "train_log.jsonl").exists()
     assert not (out / "checkpoint.npz").exists()
 
