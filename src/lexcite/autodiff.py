@@ -5,12 +5,13 @@ only its forward value and, for each input, a vector-Jacobian product (VJP)
 that maps the output's gradient to that input's share; :func:`_tracked` is
 the one constructor of such recorded nodes. There is one accumulation rule,
 and :meth:`Tensor.backward` alone applies it: it skips inputs that need no
-gradient, gives an input a zero gradient buffer on first touch, and adds
-each share to it whole (``+=``), or at the node's index with ``np.add.at``
-(``getitem``, ``embedding``), so shares through a repeated index or a reused
-input all add up. All data is float64; gradient checks against central
-finite differences are part of the test suite, so the engine is deliberately
-free of any reduced-precision shortcuts.
+gradient, takes a private copy of an input's first whole share as its
+gradient buffer and adds later shares to it (``+=``); a share that lands at
+the node's index (``getitem``, ``embedding``) goes into a zero buffer with
+``np.add.at``. So shares through a repeated index or a reused input all add
+up. All data is float64; gradient checks against central finite differences
+are part of the test suite, so the engine is deliberately free of any
+reduced-precision shortcuts.
 
 Ops test whether anything is recording before they build a VJP: when no
 input requires a gradient, or inside :func:`no_grad`, they return a plain
@@ -105,12 +106,17 @@ class Tensor:
                 if not x.requires_grad:
                     continue
                 share = vjp(g)
-                if x.grad is None:
-                    x.grad = np.zeros_like(x.data)
-                if node._index is None:
-                    x.grad += share
-                else:
+                if node._index is not None:
+                    if x.grad is None:
+                        x.grad = np.zeros_like(x.data)
                     np.add.at(x.grad, node._index, share)
+                elif x.grad is None:
+                    # a private copy: a share may be a view or broadcast of
+                    # another node's gradient, which must not be written through
+                    x.grad = np.empty_like(x.data)
+                    x.grad[...] = share
+                else:
+                    x.grad += share
 
 
 class Parameter(Tensor):

@@ -6,6 +6,12 @@ into sentence vectors; sentence vectors go through a second recurrence and
 attention to yield one document embedding. Padded positions carry hidden
 state through unchanged and receive exactly zero attention mass, so trailing
 padding cannot influence the output.
+
+In training, inverted dropout scales the sentence vectors and the document
+vector. The caller draws the multipliers per row at the sentence cap
+(:meth:`TextEncoder.dropout_multipliers`) and hands each call its own rows;
+the call cuts them to its own sentence extent. A row's dropout therefore does
+not depend on how long the other documents of its call are.
 """
 
 from __future__ import annotations
@@ -58,9 +64,25 @@ class TextEncoder:
         params.update(self.sent_rnn.params)
         return params
 
-    def __call__(self, grids: np.ndarray, masks: np.ndarray, training: bool = False,
-                 dropout_rng: np.random.Generator | None = None, return_weights: bool = False):
-        """Encode (B, S, W) index grids into (B, out_dim) document vectors."""
+    def dropout_multipliers(self, rng: np.random.Generator, n_rows: int, max_sents: int):
+        """Inverted-dropout multipliers for `n_rows` documents, (n_rows,
+        max_sents, out_dim) for the sentence vectors and (n_rows, out_dim) for
+        the document vectors: 0 with probability `dropout`, else
+        1 / (1 - dropout). Drawn at the sentence cap, so a row's draws never
+        depend on the other rows' lengths."""
+        p = self.dropout
+        sent = (rng.random((n_rows, max_sents, self.out_dim)) >= p) / (1.0 - p)
+        doc = (rng.random((n_rows, self.out_dim)) >= p) / (1.0 - p)
+        return sent, doc
+
+    def __call__(self, grids: np.ndarray, masks: np.ndarray,
+                 keep: tuple[np.ndarray, np.ndarray] | None = None,
+                 return_weights: bool = False):
+        """Encode (B, S, W) index grids into (B, out_dim) document vectors.
+
+        `keep` is a pair from :meth:`dropout_multipliers` for these B rows, in
+        training; the sentence multipliers are cut to the grids' S sentences.
+        Without it the encoder runs without dropout."""
         if grids.ndim != 3:
             raise ValueError("expected a batch of (sentences, words) grids")
         b, s_len, w_len = grids.shape
@@ -77,11 +99,13 @@ class TextEncoder:
             word_states, self.word_att_m, self.word_att_b, self.word_att_ctx, mask=word_mask)
 
         sent_vecs = ad.reshape(sent_vecs, (b, s_len, self.out_dim))
-        sent_vecs = nn.dropout(sent_vecs, self.dropout, dropout_rng, training)
+        if keep is not None:
+            sent_vecs = ad.mul(sent_vecs, keep[0][:, :s_len])
         sent_states = self.sent_rnn(sent_vecs, sent_present.astype(np.float64))
         doc_vecs, sent_weights = nn.additive_attention(
             sent_states, self.sent_att_m, self.sent_att_b, self.sent_att_ctx, mask=sent_present)
-        doc_vecs = nn.dropout(doc_vecs, self.dropout, dropout_rng, training)
+        if keep is not None:
+            doc_vecs = ad.mul(doc_vecs, keep[1])
 
         if return_weights:
             return doc_vecs, {

@@ -28,7 +28,7 @@ if TYPE_CHECKING:
 class Model:
     """Owns the run's inputs: the TrainingConfig it is built from (kept as
     `config`), the vocabulary, the citation graph and the statute hierarchy,
-    whose section texts it encodes once at construction."""
+    whose section texts it encodes once at construction, cut to their extent."""
 
     def __init__(self, rng: np.random.Generator, config: TrainingConfig, vocab: Vocabulary,
                  graph: HeteroGraph, hierarchy: StatuteHierarchy,
@@ -39,8 +39,9 @@ class Model:
         self.graph = graph
         self.hierarchy = hierarchy
         self.section_ids = hierarchy.section_ids
-        self.section_grids, self.section_masks = encode_corpus(
-            hierarchy.sections, vocab, config.max_sents, config.max_words)
+        grids, masks = trim_to_extent(*encode_corpus(hierarchy.sections, vocab,
+                                                     config.max_sents, config.max_words))
+        self.section_grids, self.section_masks = grids.copy(), masks.copy()
         self.schemas = default_schemas()
         self.text_encoder = TextEncoder(rng, len(vocab), config.embed_dim, config.d_prime,
                                         dropout=config.dropout, pretrained=pretrained,
@@ -68,14 +69,24 @@ class Model:
 
         `fact_ids` enables the fact-side structural branch and must only be
         given for facts that are nodes of the graph (training facts).
+
+        The facts and the sections are encoded in two text-encoder calls, each
+        at its own extent. In training, the dropout multipliers of all rows,
+        facts first and then sections, are drawn once per batch at the
+        sentence cap, so a row's draws do not depend on its batch-mates.
         """
         n_facts = fact_grids.shape[0]
         k = self.config.k_instances
-        grids, masks = trim_to_extent(np.concatenate([fact_grids, self.section_grids]),
-                                      np.concatenate([fact_masks, self.section_masks]))
-        all_attr = self.text_encoder(grids, masks, training, dropout_rng)
-        h_f_attr = all_attr[:n_facts]
-        h_s_attr = all_attr[n_facts:]
+        fact_keep = section_keep = None
+        if training and self.config.dropout > 0.0:
+            if dropout_rng is None:
+                raise ValueError("dropout in training mode needs an RNG")
+            sent, doc = self.text_encoder.dropout_multipliers(
+                dropout_rng, n_facts + len(self.section_ids), self.config.max_sents)
+            fact_keep = sent[:n_facts], doc[:n_facts]
+            section_keep = sent[n_facts:], doc[n_facts:]
+        h_f_attr = self.text_encoder(*trim_to_extent(fact_grids, fact_masks), keep=fact_keep)
+        h_s_attr = self.text_encoder(self.section_grids, self.section_masks, keep=section_keep)
         h_s_struct = self.struct_encoder.encode(self.graph, self.section_ids, k, sample_seed,
                                                 attr_embeddings=h_s_attr)
         h_f_struct = None
@@ -94,7 +105,7 @@ class Model:
 
         Returns the contextualized (attribute, structural) pair (2, n_sec, d')."""
         with no_grad():
-            h_s_attr = self.text_encoder(*trim_to_extent(self.section_grids, self.section_masks))
+            h_s_attr = self.text_encoder(self.section_grids, self.section_masks)
             h_s_struct = self.struct_encoder.encode(self.graph, self.section_ids,
                                                     self.config.k_instances, self.config.seed,
                                                     attr_embeddings=h_s_attr)

@@ -102,16 +102,6 @@ def additive_attention(h: Tensor, m: Tensor, b: Tensor, context: Tensor,
     return pooled, weights
 
 
-def dropout(x: Tensor, p: float, rng: np.random.Generator | None, training: bool) -> Tensor:
-    """Inverted dropout; identity when not training or p == 0."""
-    if not training or p <= 0.0:
-        return x
-    if rng is None:
-        raise ValueError("dropout in training mode needs an RNG")
-    keep = (rng.random(x.shape) >= p) / (1.0 - p)
-    return ad.mul(x, keep)
-
-
 class Adam:
     """Adaptive-moment gradient descent over a name -> Parameter dict."""
 

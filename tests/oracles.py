@@ -3,9 +3,11 @@
 Everything here is written with plain Python loops over floats (and, for the
 graph, over the public neighbour queries), deliberately avoiding the
 vectorized code paths under test. These are the oracles the
-test suite compares against. The one exception is the pair of unfused
-recurrences, which record every time step as elementary tape ops and so
-check the fused scan ops, forward and backward, on the tape itself.
+test suite compares against. The exceptions run the model's own layers in
+an earlier arrangement: the pair of unfused recurrences, which record every
+time step as elementary tape ops and so check the fused scan ops, forward
+and backward, on the tape itself; and the model forward that encodes facts
+and sections in one text-encoder call.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ import math
 import numpy as np
 
 from lexcite import autodiff as ad
-from lexcite.corpus import CorpusError
+from lexcite.corpus import CorpusError, encode_corpus
 from lexcite.graph import MetapathInstance
+from lexcite.han import trim_to_extent
 
 
 def softmax_scalar(scores, mask=None):
@@ -189,6 +192,28 @@ def bilstm_direction_unfused(layer, x, d):
         hs = ad.mul(o, ad.tanh(cs))
         outs[t] = hs
     return ad.stack(outs, axis=1)
+
+
+def forward_concatenated(model, fact_grids, fact_masks, sample_seed, fact_ids=None):
+    """`Model.forward` without dropout, with the facts and the sections
+    encoded in one text-encoder call, cut to the extent of the longest of
+    them; returns the score triple."""
+    config = model.config
+    sec_grids, sec_masks = encode_corpus(model.hierarchy.sections, model.vocab,
+                                         config.max_sents, config.max_words)
+    grids, masks = trim_to_extent(np.concatenate([fact_grids, sec_grids]),
+                                  np.concatenate([fact_masks, sec_masks]))
+    n_facts = fact_grids.shape[0]
+    attr = model.text_encoder(grids, masks)
+    h_f, h_s = attr[:n_facts], attr[n_facts:]
+    encode = model.struct_encoder.encode
+    h_s_struct = encode(model.graph, model.section_ids, config.k_instances, sample_seed,
+                        attr_embeddings=h_s)
+    h_f_struct = None
+    if fact_ids is not None:
+        h_f_struct = encode(model.graph, fact_ids, config.k_instances, sample_seed,
+                            attr_embeddings=h_f)
+    return model.scorer.score_triple(h_f, h_s, h_s_struct, h_f_struct)
 
 
 def attention_pool_scalar(vecs, m_mat, b_vec, context, mask=None):

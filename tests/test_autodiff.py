@@ -144,6 +144,19 @@ class TestEngine:
         ad.tsum(ad.mul(x, x)).backward()
         npt.assert_allclose(x.grad, [6.0, -4.0])
 
+    def test_first_share_through_a_view_is_copied(self):
+        # reshape's VJP returns a view of its output's gradient; the input's
+        # later shares must add to a private buffer, not write through the view
+        x = Parameter(np.arange(6.0).reshape(2, 3))
+        y = ad.mul(x, 2.0)
+        flat = ad.reshape(y, (6,))
+        w = np.arange(1.0, 7.0)
+        v = np.full((2, 3), 10.0)
+        ad.add(ad.tsum(ad.mul(flat, w)), ad.tsum(ad.mul(y, v))).backward()
+        npt.assert_array_equal(flat.grad, w)
+        npt.assert_array_equal(y.grad, w.reshape(2, 3) + v)
+        npt.assert_array_equal(x.grad, 2.0 * (w.reshape(2, 3) + v))
+
     def test_repeated_fancy_index_accumulates_every_share(self):
         x = Parameter(np.arange(4.0))
         ad.tsum(ad.mul(x[[0, 0, 2]], np.array([1.0, 10.0, 100.0]))).backward()

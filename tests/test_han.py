@@ -161,10 +161,12 @@ def test_dropout_only_in_training(rng):
     enc = encoder(rng, dropout=0.5)
     grid, mask = grids_from([[2, 3]], 2, 2)
     with no_grad():
-        a = enc(grid, mask, training=False).data
-        b = enc(grid, mask, training=False).data
+        a = enc(grid, mask).data
+        b = enc(grid, mask).data
     npt.assert_array_equal(a, b)
-    drop_rng = np.random.default_rng(0)
+    keep = enc.dropout_multipliers(np.random.default_rng(0), n_rows=1, max_sents=2)
+    assert keep[0].shape == (1, 2, 4) and keep[1].shape == (1, 4)
+    assert set(np.unique(np.concatenate([keep[0].ravel(), keep[1].ravel()]))) <= {0.0, 2.0}
     with no_grad():
-        c = enc(grid, mask, training=True, dropout_rng=drop_rng).data
+        c = enc(grid, mask, keep=keep).data
     assert not np.allclose(a, c)

@@ -8,10 +8,13 @@ from lexcite.autodiff import no_grad
 from lexcite.corpus import (StatuteHierarchy, build_vocab, encode_corpus, load_facts,
                             load_hierarchy)
 from lexcite.graph import build_citation_graph
+from lexcite.han import TextEncoder, trim_to_extent
 from lexcite.model import Model
 from lexcite.split import SplitSpec, iterative_stratified_split
 from lexcite.synth import write_synth
 from lexcite.training import TrainingConfig, load_checkpoint, save_checkpoint, train_model
+
+from oracles import forward_concatenated
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +45,59 @@ def test_forward_shapes(setup):
     assert triple.structural.shape == (5, n_sections)
     for part in (triple.attribute, triple.alignment, triple.structural):
         assert ((part.data > 0) & (part.data < 1)).all()
+
+
+def test_forward_matches_one_concatenated_call(setup):
+    # facts and sections in their own text-encoder calls score as one joint
+    # call trimmed to the longest of them, up to rounding
+    model, graph, train, _, _, hierarchy, vocab, config = setup
+    batch = train[:6]
+    grids, masks = encode_corpus(batch, vocab, config.max_sents, config.max_words)
+    fact_ids = [d.id for d in batch]
+    with no_grad():
+        got = model.forward(grids, masks, sample_seed=3, fact_ids=fact_ids, training=True)
+        want = forward_concatenated(model, grids, masks, sample_seed=3, fact_ids=fact_ids)
+    for name in ("attribute", "structural", "alignment"):
+        npt.assert_allclose(getattr(got, name).data, getattr(want, name).data, rtol=0,
+                            atol=1e-12, err_msg=name)
+
+
+def test_sections_are_stored_at_their_own_extent(setup):
+    model, _, _, _, _, hierarchy, vocab, config = setup
+    grids, masks = trim_to_extent(*encode_corpus(hierarchy.sections, vocab, config.max_sents,
+                                                 config.max_words))
+    npt.assert_array_equal(model.section_grids, grids)
+    npt.assert_array_equal(model.section_masks, masks)
+    assert model.section_grids.base is None  # the cap-shape grid is not kept alive
+
+
+def test_dropout_of_a_fact_ignores_its_batch_mates(setup, monkeypatch):
+    # a training fact's sentence- and document-level multipliers, and so its
+    # encoding, are the same beside a long and beside a short batch-mate
+    _, graph, train, _, _, hierarchy, vocab, config = setup
+    cfg = replace(config, max_sents=16, max_words=16, dropout=0.5)
+    model = Model(np.random.default_rng(0), cfg, vocab, graph, hierarchy)
+    by_length = sorted(train, key=lambda d: (len(d.sentences), max(map(len, d.sentences))))
+    fact, short, long_ = by_length[len(by_length) // 2], by_length[0], by_length[-1]
+    seen = []
+    encode = TextEncoder.__call__
+
+    def spy(self, grids, masks, keep=None, **kwargs):
+        out = encode(self, grids, masks, keep=keep, **kwargs)
+        seen.append((masks.shape, keep, out.data))
+        return out
+
+    monkeypatch.setattr(TextEncoder, "__call__", spy)
+    for mate in (long_, short):
+        grids, masks = encode_corpus([fact, mate], vocab, cfg.max_sents, cfg.max_words)
+        model.forward(grids, masks, sample_seed=0, training=True,
+                      dropout_rng=np.random.default_rng(7))
+    (long_shape, long_keep, long_out), _, (short_shape, short_keep, short_out), _ = seen
+    assert long_shape != short_shape
+    npt.assert_array_equal(long_keep[0][0], short_keep[0][0])  # sentence level, at the cap
+    npt.assert_array_equal(long_keep[1][0], short_keep[1][0])  # document level
+    assert (long_keep[0][0] == 0).any() and (long_keep[1][0] == 0).any()
+    npt.assert_allclose(long_out[0], short_out[0], rtol=0, atol=1e-12)
 
 
 def test_fact_structural_requires_training_flag(setup):

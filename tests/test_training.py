@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from lexcite import autodiff as ad
 from lexcite import training
 from lexcite.autodiff import Parameter, Tensor
-from lexcite.corpus import build_vocab, load_facts, load_hierarchy
+from lexcite.corpus import build_vocab, encode_corpus, load_facts, load_hierarchy
 from lexcite.graph import build_citation_graph
-from lexcite.han import TextEncoder
+from lexcite.han import TextEncoder, trim_to_extent
 from lexcite.model import Model
 from lexcite.split import SplitSpec, iterative_stratified_split
 from lexcite.synth import write_synth
@@ -249,7 +249,12 @@ class TestTrainLoop:
         assert all(np.isfinite(record[k]) for k in
                    ("loss_attribute", "loss_structural", "loss_alignment", "loss"))
         n_batches = -(-len(train) // config.batch_size)
-        assert len(calls) == n_batches + 1 + len(val)  # the sections once, then each val fact
+        # per batch the facts, then the sections; at validation the sections
+        # once, then each val fact
+        assert len(calls) == 2 * n_batches + 1 + len(val)
+        sections = trim_to_extent(*encode_corpus(hierarchy.sections, vocab, config.max_sents,
+                                                 config.max_words))[1].shape
+        assert calls[1 : 2 * n_batches : 2] == [sections] * n_batches
 
     def test_divergence_aborts_with_diagnostic(self, tmp_path):
         model, graph, train, val, _, hierarchy, vocab, config = tiny_setup(tmp_path, epochs=1)
