@@ -23,7 +23,10 @@ run one direction's time loop in numpy and record a single node for all of
 its steps, so the tape does not grow with sequence length. Their VJPs share
 one backprop-through-time pass, run on the first VJP call for a given output
 gradient; the parameters' gradients then come from one GEMM over the stacked
-states, not one per step.
+states, not one per step. :func:`gru_scan` runs on a packed batch: only each
+sequence's real steps, time-major, longest sequence first, as
+:func:`lexcite.nn.pack` lays them out. :func:`packed_softmax` and
+:func:`packed_sum` pool such a batch per sequence.
 """
 
 from __future__ import annotations
@@ -434,67 +437,116 @@ def _started_from(states, reverse):
     return prev
 
 
-def gru_scan(pre, mask, u_zr, u_n, reverse=False):
-    """One direction of a GRU over the input projection `pre` (N, T, 3h),
-    whose last axis holds the update, reset and candidate pre-activations.
-    Returns the (N, T, h) states, one per time step, as a single node.
+def _step_rows(sizes):
+    """Where each step's rows lie in a packed batch: (start, stop) pairs."""
+    stops = np.cumsum(sizes)
+    return list(zip((stops - sizes).tolist(), stops.tolist()))
 
-    Steps where `mask` (N, T) is 0 carry the previous state through
-    unchanged. `reverse` runs from the last step to the first. The forward
-    pass is per-step numpy in the order of the unfused layer; the backward
-    pass is one BPTT loop whose result serves all three VJPs.
+
+def _sequence_of(sizes):
+    """The sequence (its rank, longest first) of every row of a packed batch."""
+    stops = np.cumsum(sizes)
+    return np.arange(stops[-1]) - np.repeat(stops - sizes, sizes)
+
+
+def _per_sequence(op, x, sizes):
+    """Fold `op` (``np.add``, ``np.maximum``) over each sequence's steps of a
+    packed batch, in time order: (sizes[0], ...), one row per sequence. A
+    sequence's result does not depend on the other sequences."""
+    out = x[: sizes[0]].copy()
+    for lo, hi in _step_rows(sizes)[1:]:
+        op(out[: hi - lo], x[lo:hi], out=out[: hi - lo])
+    return out
+
+
+def packed_sum(a, sizes):
+    """Sum each sequence of a packed (P, d) batch over its steps: (sizes[0],
+    d), one row per sequence in rank order."""
+    a = _as_tensor(a)
+    data = _per_sequence(np.add, a.data, sizes)
+    if not (_grad_enabled and a.requires_grad):
+        return _raw(data)
+    seq = _sequence_of(sizes)
+    return _tracked(data, a, lambda g: g[seq])
+
+
+def packed_softmax(a, sizes):
+    """Softmax of a packed (P,) batch of scores within each sequence."""
+    a = _as_tensor(a)
+    seq = _sequence_of(sizes)
+    e = np.exp(a.data - _per_sequence(np.maximum, a.data, sizes)[seq])
+    p = e / _per_sequence(np.add, e, sizes)[seq]
+    if not (_grad_enabled and a.requires_grad):
+        return _raw(p)
+    return _tracked(p, a, lambda g: (gp := g * p) - p * _per_sequence(np.add, gp, sizes)[seq])
+
+
+def gru_scan(pre, sizes, u_zr, u_n, reverse=False):
+    """One direction of a GRU over a packed batch of sequences. Returns the
+    (P, h) states, one per real step, as a single node.
+
+    The batch is packed time-major, as by :func:`lexcite.nn.pack`: the
+    sequences are ranked longest first, and step t holds the rows of the
+    first ``sizes[t]`` of them, the ones longer than t, after the rows of
+    step t - 1. `pre` (P, 3h) is the input projection of those rows, whose
+    last axis holds the update, reset and candidate pre-activations. So each
+    step computes only real rows, and no step carries a state through
+    padding. `reverse` runs each sequence from its own last step to its
+    first. The forward pass is per-step numpy in the order of the unfused
+    layer; the backward pass is one BPTT loop whose result serves all three
+    VJPs.
     """
     pre, u_zr, u_n = _as_tensor(pre), _as_tensor(u_zr), _as_tensor(u_n)
-    n, t_len, h3 = pre.data.shape
+    rows, h3 = pre.data.shape
     h = h3 // 3
     uzr, un = u_zr.data, u_n.data
     record = _grad_enabled and (pre.requires_grad or u_zr.requires_grad or u_n.requires_grad)
-    keep = mask.astype(np.float64)
-    order = range(t_len - 1, -1, -1) if reverse else range(t_len)
-    data = np.empty((n, t_len, h))
+    spans = _step_rows(sizes)
+    order = spans[::-1] if reverse else spans
+    data = np.empty((rows, h))
     if record:  # per step: gate activations, candidate and r * h
-        zrs = np.empty((n, t_len, 2 * h))
-        cands = np.empty((n, t_len, h))
-        rhs = np.empty((n, t_len, h))
-    state = np.zeros((n, h))
-    for t in order:
-        pre_t = pre.data[:, t, :]
-        zr = _sigmoid(pre_t[:, : 2 * h] + state @ uzr)
+        zrs = np.empty((rows, 2 * h))
+        cands = np.empty((rows, h))
+        rhs = np.empty((rows, h))
+    # a sequence's state stays at its rank; in reverse, the rows that start
+    # at a step are still zero when they first join
+    state = np.zeros((sizes[0], h))
+    for lo, hi in order:
+        last = state[: hi - lo]
+        pre_t = pre.data[lo:hi]
+        zr = _sigmoid(pre_t[:, : 2 * h] + last @ uzr)
         z = zr[:, :h]
         r = zr[:, h:]
-        rh = r * state
+        rh = r * last
         ncand = np.tanh(pre_t[:, 2 * h:] + rh @ un)
-        new = (1.0 - z) * ncand + z * state
-        m = keep[:, t : t + 1]
-        new = new * m + state * (1.0 - m)
+        new = (1.0 - z) * ncand + z * last
         if record:
-            zrs[:, t], cands[:, t], rhs[:, t] = zr, ncand, rh
-        state = new
-        data[:, t] = state
+            zrs[lo:hi], cands[lo:hi], rhs[lo:hi] = zr, ncand, rh
+        state[: hi - lo] = new
+        data[lo:hi] = new
     if not record:
         return _raw(data)
 
     def bptt(g):
-        prev = _started_from(data, reverse)
-        dpre = np.empty((n, t_len, h3))
-        carry = np.zeros((n, h))
-        for t in reversed(order):
-            dh = g[:, t] + carry
-            m = keep[:, t : t + 1]
-            passed = dh * (1.0 - m)  # a padded step hands its gradient straight back
-            dh = dh * m
-            zr, ncand, h_prev = zrs[:, t], cands[:, t], prev[:, t]
+        prev = np.zeros((rows, h))  # the state each step started from
+        for (lo, hi), (plo, phi) in zip(order[1:], order):
+            n = min(hi - lo, phi - plo)
+            prev[lo : lo + n] = data[plo : plo + n]
+        dpre = np.empty((rows, h3))
+        carry = np.zeros((sizes[0], h))
+        for lo, hi in reversed(order):
+            dh = g[lo:hi] + carry[: hi - lo]
+            zr, ncand, h_prev = zrs[lo:hi], cands[lo:hi], prev[lo:hi]
             z, r = zr[:, :h], zr[:, h:]
-            d = dpre[:, t]
+            d = dpre[lo:hi]
             d[:, 2 * h:] = dh * (1.0 - z) * (1.0 - ncand * ncand)
             drh = d[:, 2 * h:] @ un.T
             d[:, :h] = dh * (h_prev - ncand)
             d[:, h : 2 * h] = drh * h_prev
             d[:, : 2 * h] *= zr * (1.0 - zr)
-            carry = dh * z + drh * r + d[:, : 2 * h] @ uzr.T + passed
-        rows = n * t_len
-        d_uzr = prev.reshape(rows, h).T @ dpre[:, :, : 2 * h].reshape(rows, 2 * h)
-        d_un = rhs.reshape(rows, h).T @ dpre[:, :, 2 * h:].reshape(rows, h)
+            carry[: hi - lo] = dh * z + drh * r + d[:, : 2 * h] @ uzr.T
+        d_uzr = prev.T @ dpre[:, : 2 * h]
+        d_un = rhs.T @ dpre[:, 2 * h:]
         return dpre, d_uzr, d_un
 
     shares = _shared_shares(bptt)

@@ -1,17 +1,21 @@
 """Hierarchical attention text encoder shared by facts and statutes.
 
-A document arrives as a padded (sentences x words) index grid. Words are
+A document arrives as a padded (sentences x words) index grid whose mask is
+a prefix in every row, so it amounts to word and sentence lengths. Words are
 embedded, run through a bidirectional gated recurrence and attention-pooled
 into sentence vectors; sentence vectors go through a second recurrence and
-attention to yield one document embedding. Padded positions carry hidden
-state through unchanged and receive exactly zero attention mass, so trailing
-padding cannot influence the output.
+attention to yield one document embedding. Both levels run packed
+(:func:`lexcite.nn.pack`): the word level on the real tokens of the real
+sentences alone, the sentence level on each document's real sentences. No
+padded cell is embedded, projected, run or attended, so padding cannot
+influence the output, and a document's vector does not depend on how long the
+other documents of its call are.
 
 In training, inverted dropout scales the sentence vectors and the document
 vector. The caller draws the multipliers per row at the sentence cap
 (:meth:`TextEncoder.dropout_multipliers`) and hands each call its own rows;
-the call cuts them to its own sentence extent. A row's dropout therefore does
-not depend on how long the other documents of its call are.
+each real sentence takes the multiplier of its own row and position. A row's
+dropout therefore does not depend on the other documents of its call.
 """
 
 from __future__ import annotations
@@ -80,39 +84,68 @@ class TextEncoder:
                  return_weights: bool = False):
         """Encode (B, S, W) index grids into (B, out_dim) document vectors.
 
+        `masks` marks the real words. Every row's words and sentences must be
+        a prefix, so the masks amount to lengths; a mask with a gap is
+        refused. Only real tokens are embedded, projected, run and attended:
+        the word level packs the real sentences by word count and the
+        sentence level packs the documents by sentence count
+        (:func:`~lexcite.nn.pack`).
+
         `keep` is a pair from :meth:`dropout_multipliers` for these B rows, in
-        training; the sentence multipliers are cut to the grids' S sentences.
-        Without it the encoder runs without dropout."""
+        training; each real sentence takes the multipliers of its own row and
+        position. Without it the encoder runs without dropout.
+        `return_weights` adds the word (B, S, W) and sentence (B, S)
+        attention weights, zero at padding."""
         if grids.ndim != 3:
             raise ValueError("expected a batch of (sentences, words) grids")
         b, s_len, w_len = grids.shape
-        sent_present = masks.any(axis=2)
-        if not sent_present.any(axis=1).all():
-            bad = np.flatnonzero(~sent_present.any(axis=1))
+        n_words = _prefix_lengths(masks, "word")  # (B, S)
+        n_sents = _prefix_lengths(n_words > 0, "sentence")  # (B,)
+        if not n_sents.all():
+            bad = np.flatnonzero(n_sents == 0)
             raise ValueError(f"all-padding grids at batch positions {bad.tolist()}")
 
-        flat_idx = grids.reshape(b * s_len, w_len)
-        word_mask = masks.reshape(b * s_len, w_len)
-        embedded = ad.embedding(self.embedding, flat_idx)
-        word_states = self.word_rnn(embedded, word_mask.astype(np.float64))
+        real = np.flatnonzero(n_words)  # b * S + s of every real sentence
+        w_sizes, w_rows, w_steps = nn.pack(n_words.reshape(-1)[real])
+        tokens = grids.reshape(b * s_len, w_len)[real[w_rows], w_steps]
+        word_states = self.word_rnn(ad.embedding(self.embedding, tokens), w_sizes)
         sent_vecs, word_weights = nn.additive_attention(
-            word_states, self.word_att_m, self.word_att_b, self.word_att_ctx, mask=word_mask)
+            word_states, w_sizes, self.word_att_m, self.word_att_b, self.word_att_ctx)
 
-        sent_vecs = ad.reshape(sent_vecs, (b, s_len, self.out_dim))
+        # the sentence vectors, from word-level rank order to the packed
+        # sentence level
+        s_sizes, s_rows, s_steps = nn.pack(n_sents)
+        at = np.empty(b * s_len, dtype=np.intp)
+        at[s_rows * s_len + s_steps] = np.arange(len(real))
+        sent_vecs = ad.scatter_rows(sent_vecs, at[real[w_rows[: len(real)]]], len(real))
         if keep is not None:
-            sent_vecs = ad.mul(sent_vecs, keep[0][:, :s_len])
-        sent_states = self.sent_rnn(sent_vecs, sent_present.astype(np.float64))
+            sent_vecs = ad.mul(sent_vecs, keep[0][s_rows, s_steps])
+        sent_states = self.sent_rnn(sent_vecs, s_sizes)
         doc_vecs, sent_weights = nn.additive_attention(
-            sent_states, self.sent_att_m, self.sent_att_b, self.sent_att_ctx, mask=sent_present)
+            sent_states, s_sizes, self.sent_att_m, self.sent_att_b, self.sent_att_ctx)
+        doc_vecs = ad.scatter_rows(doc_vecs, s_rows[:b], b)  # back to batch order
         if keep is not None:
             doc_vecs = ad.mul(doc_vecs, keep[1])
 
         if return_weights:
-            return doc_vecs, {
-                "word": word_weights.data.reshape(b, s_len, w_len),
-                "sentence": sent_weights.data,
-            }
+            word = np.zeros((b * s_len, w_len))
+            word[real[w_rows], w_steps] = word_weights.data
+            sentence = np.zeros((b, s_len))
+            sentence[s_rows, s_steps] = sent_weights.data
+            return doc_vecs, {"word": word.reshape(b, s_len, w_len), "sentence": sentence}
         return doc_vecs
+
+
+def _prefix_lengths(masks: np.ndarray, unit: str) -> np.ndarray:
+    """The lengths of prefix masks along their last axis; refuses a mask with
+    padding before a real `unit`."""
+    lengths = np.count_nonzero(masks, axis=-1)
+    gaps = masks != (np.arange(masks.shape[-1]) < lengths[..., None])
+    if gaps.any():
+        bad = np.unique(np.nonzero(gaps)[0])
+        raise ValueError(f"{unit} masks must be prefixes, with no padding before a real "
+                         f"{unit}: batch positions {bad.tolist()}")
+    return lengths
 
 
 def trim_to_extent(grids: np.ndarray, masks: np.ndarray):

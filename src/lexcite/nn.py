@@ -1,7 +1,9 @@
 """Recurrent cells, attention helpers, initialization and the optimizer.
 
-Everything here operates on :class:`~lexcite.autodiff.Tensor` values. Masks
-and indices are plain numpy arrays (no gradient flows through them).
+Everything here operates on :class:`~lexcite.autodiff.Tensor` values.
+Lengths, step sizes and indices are plain numpy arrays (no gradient flows
+through them). The gated recurrence and the attention run on packed batches:
+the real steps of every sequence, time-major, longest sequence first.
 """
 
 from __future__ import annotations
@@ -26,15 +28,31 @@ def zeros_init(shape) -> Parameter:
     return Parameter(np.zeros(shape))
 
 
-class BiGRU:
-    """Bidirectional gated recurrent layer over (N, T, d_in) sequences.
+def pack(lengths) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pack sequences of the given lengths (each at least 1) time-major,
+    longest first, as PyTorch's ``pack_padded_sequence`` does.
 
-    Hidden size is per direction; the output concatenates both directions,
-    so it has width ``2 * hidden``. Padded steps (mask 0) carry the hidden
-    state through unchanged, which makes outputs at real positions exactly
-    independent of trailing padding. Each direction is one batched input
-    projection and one :func:`~lexcite.autodiff.gru_scan` node, so the tape
-    holds a fixed number of nodes whatever the sequence length.
+    Returns ``(sizes, rows, steps)``: ``sizes[t]`` counts the sequences
+    longer than t, and packed row k is step ``steps[k]`` of sequence
+    ``rows[k]``, an index into `lengths`. The ranking is a stable sort, so
+    the first ``sizes[0]`` entries of `rows` list the sequences in rank
+    order and equal lengths keep their input order."""
+    lengths = np.asarray(lengths)
+    order = np.argsort(-lengths, kind="stable")
+    live = np.arange(lengths[order[0]])[:, None] < lengths[order][None, :]
+    steps, rank = np.nonzero(live)
+    return live.sum(axis=1), order[rank], steps
+
+
+class BiGRU:
+    """Bidirectional gated recurrent layer over a packed batch of sequences
+    (see :func:`pack`): (P, d_in) rows in, (P, 2 * hidden) out.
+
+    Hidden size is per direction; the output concatenates both directions.
+    Only real steps are computed, so a sequence's states do not depend on
+    the other sequences' lengths. Each direction is one input projection
+    over the P rows and one :func:`~lexcite.autodiff.gru_scan` node, so the
+    tape holds a fixed number of nodes whatever the sequence length.
     """
 
     def __init__(self, rng: np.random.Generator, d_in: int, hidden: int, name: str):
@@ -46,14 +64,15 @@ class BiGRU:
             self.params[f"{name}.{d}.U_n"] = glorot_init(rng, (hidden, hidden))
             self.params[f"{name}.{d}.b"] = zeros_init((3 * hidden,))
 
-    def _direction(self, x: Tensor, mask: np.ndarray, d: str) -> Tensor:
+    def _direction(self, x: Tensor, sizes: np.ndarray, d: str) -> Tensor:
         p = self.params
-        pre = _project(x, p[f"{self.name}.{d}.W"], p[f"{self.name}.{d}.b"])
-        return ad.gru_scan(pre, mask, p[f"{self.name}.{d}.U_zr"], p[f"{self.name}.{d}.U_n"],
+        pre = ad.add(ad.matmul(x, p[f"{self.name}.{d}.W"]), p[f"{self.name}.{d}.b"])
+        return ad.gru_scan(pre, sizes, p[f"{self.name}.{d}.U_zr"], p[f"{self.name}.{d}.U_n"],
                            reverse=d == "bw")
 
-    def __call__(self, x: Tensor, mask: np.ndarray) -> Tensor:
-        return ad.concat([self._direction(x, mask, "fw"), self._direction(x, mask, "bw")], axis=2)
+    def __call__(self, x: Tensor, sizes: np.ndarray) -> Tensor:
+        return ad.concat([self._direction(x, sizes, "fw"), self._direction(x, sizes, "bw")],
+                         axis=1)
 
 
 class BiLSTM:
@@ -87,18 +106,18 @@ def _project(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return ad.reshape(pre, (n, t_len, w.shape[1]))
 
 
-def additive_attention(h: Tensor, m: Tensor, b: Tensor, context: Tensor,
-                       mask: np.ndarray | None = None):
+def additive_attention(h: Tensor, sizes: np.ndarray, m: Tensor, b: Tensor, context: Tensor):
     """tanh-projected attention pooling used at each level of the model.
 
-    h: (N, T, d); m: (d, d_ctx); b: (d_ctx,); context: static (d_ctx,).
-    Returns (pooled (N, d), weights (N, T)).
+    h: a packed (P, d) batch (see :func:`pack`); m: (d, d_ctx); b: (d_ctx,);
+    context: static (d_ctx,). Each sequence pools over its own steps.
+    Returns (pooled (sizes[0], d) in rank order, weights (P,) packed).
     """
-    n, t_len, d = h.shape
-    u = ad.tanh(ad.add(ad.matmul(ad.reshape(h, (n * t_len, d)), m), b))
-    scores = ad.reshape(ad.matmul(u, ad.reshape(context, (m.shape[1], 1))), (n, t_len))
-    weights = ad.masked_softmax(scores, mask=mask, axis=1)
-    pooled = ad.tsum(ad.mul(h, ad.reshape(weights, (n, t_len, 1))), axis=1)
+    rows = h.shape[0]
+    u = ad.tanh(ad.add(ad.matmul(h, m), b))
+    scores = ad.reshape(ad.matmul(u, ad.reshape(context, (m.shape[1], 1))), (rows,))
+    weights = ad.packed_softmax(scores, sizes)
+    pooled = ad.packed_sum(ad.mul(h, ad.reshape(weights, (rows, 1))), sizes)
     return pooled, weights
 
 

@@ -302,7 +302,9 @@ def train_model(model: Model, train_docs: list[FactDocument], val_docs: list[Fac
 
 
 def save_checkpoint(path, model: Model, extra: dict | None = None):
-    """Parameters, vocabulary, section order and training config, stored once."""
+    """Parameters, vocabulary, section order and training config, stored once,
+    uncompressed: float parameters barely compress, and compression made
+    saving and loading several times slower."""
     tokens = model.vocab.tokens[2:]
     meta = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
@@ -313,8 +315,7 @@ def save_checkpoint(path, model: Model, extra: dict | None = None):
         "extra": extra or {},
     }
     arrays = {f"param.{k}": v for k, v in model.state_arrays().items()}
-    np.savez_compressed(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-                        **arrays)
+    np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
 
 
 def load_checkpoint(path, graph: HeteroGraph, hierarchy: StatuteHierarchy):

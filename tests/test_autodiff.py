@@ -110,6 +110,23 @@ class TestSoftmax:
         w = rng.normal(size=(3, 5))
         fd_check(lambda: ad.tsum(ad.mul(ad.masked_softmax(x, mask=mask, axis=1), w)), {"x": x})
 
+    def test_packed_ops_match_the_masked_time_major_grid(self, rng):
+        # three sequences of lengths 3, 2 and 2, packed time-major
+        sizes = np.array([3, 3, 1])
+        live = np.arange(3)[:, None] < np.array([3, 2, 2])[None, :]
+        x = Parameter(rng.normal(size=7))
+        a = Parameter(rng.normal(size=(7, 2)))
+        grid = np.zeros((3, 3))
+        grid[live] = x.data
+        want = ad.masked_softmax(grid, mask=live, axis=0).data[live]
+        npt.assert_allclose(ad.packed_softmax(x, sizes).data, want, rtol=0, atol=1e-15)
+        cells = np.zeros((3, 3, 2))
+        cells[live] = a.data
+        npt.assert_array_equal(ad.packed_sum(a, sizes).data, cells.sum(axis=0))
+        w, v = rng.normal(size=7), rng.normal(size=(3, 2))
+        fd_check(lambda: ad.tsum(ad.mul(ad.packed_softmax(x, sizes), w)), {"x": x})
+        fd_check(lambda: ad.tsum(ad.mul(ad.packed_sum(a, sizes), v)), {"a": a})
+
 
 class TestEngine:
     def test_no_grad_builds_no_graph(self):

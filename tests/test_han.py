@@ -35,6 +35,47 @@ def test_all_padding_grid_rejected(rng):
         enc(grid, mask)
 
 
+@pytest.mark.parametrize("gap", ["word", "sentence"])
+def test_mask_that_is_not_a_prefix_is_rejected(rng, gap):
+    enc = encoder(rng)
+    grid, mask = grids_from([[2, 3, 4], [5, 6]], max_sents=3, max_words=4)
+    if gap == "word":
+        mask[0, 1, 0] = False  # a padded word before a real one
+    else:
+        grid[0, 2, 0], mask[0, 2, 0] = 7, True  # a real sentence after a padded one
+        grid[0, 1], mask[0, 1] = 0, False
+    with pytest.raises(ValueError, match=f"{gap} masks must be prefixes"):
+        enc(grid, mask)
+
+
+def test_word_level_runs_only_real_tokens(rng, monkeypatch):
+    # the embedding lookup, both directions' input projections and the word
+    # attention's projection each see exactly one row per real token
+    enc = encoder(rng, out=6)
+    g1, m1 = grids_from([[2, 3, 4], [5]], max_sents=4, max_words=5)
+    g2, m2 = grids_from([[6, 7], [8, 9, 2, 3], [4]], max_sents=4, max_words=5)
+    grids, masks = np.concatenate([g1, g2]), np.concatenate([m1, m2])
+    word_weights = {id(enc.word_att_m), id(enc.word_rnn.params["han.word_rnn.fw.W"]),
+                    id(enc.word_rnn.params["han.word_rnn.bw.W"])}
+    rows = {"embedding": [], "word": []}
+    embedding, matmul = ad.embedding, ad.matmul
+
+    def spy_embedding(table, idx):
+        rows["embedding"].append(np.size(idx))
+        return embedding(table, idx)
+
+    def spy_matmul(a, b):
+        if id(b) in word_weights:
+            rows["word"].append(a.shape[0])
+        return matmul(a, b)
+
+    monkeypatch.setattr(ad, "embedding", spy_embedding)
+    monkeypatch.setattr(ad, "matmul", spy_matmul)
+    enc(grids, masks)
+    assert masks.sum() == 11 < masks.size
+    assert rows == {"embedding": [11], "word": [11, 11, 11]}
+
+
 def test_single_sentence_gets_full_attention(rng):
     enc = encoder(rng)
     grid, mask = grids_from([[2, 3, 4]], max_sents=3, max_words=4)

@@ -1,3 +1,4 @@
+import zipfile
 from dataclasses import replace
 
 import numpy as np
@@ -137,6 +138,23 @@ def test_checkpoint_roundtrip(tmp_path, setup):
     s2 = restored.prepare_inference()
     npt.assert_array_equal(model.score_one(s1, grids[0], masks[0])[0],
                            restored.score_one(s2, grids[0], masks[0])[0])
+
+
+def test_compressed_checkpoint_still_loads(tmp_path, setup):
+    # checkpoints are written uncompressed; older ones were compressed
+    model, graph, *_, hierarchy, _, _ = setup
+    path, packed = tmp_path / "ckpt.npz", tmp_path / "compressed.npz"
+    save_checkpoint(path, model, extra={"note": "x"})
+    with zipfile.ZipFile(path) as archive:
+        assert {i.compress_type for i in archive.infolist()} == {zipfile.ZIP_STORED}
+    with np.load(path) as blob:
+        np.savez_compressed(packed, **{k: blob[k] for k in blob.files})
+    with zipfile.ZipFile(packed) as archive:
+        assert {i.compress_type for i in archive.infolist()} == {zipfile.ZIP_DEFLATED}
+    restored, meta = load_checkpoint(packed, graph, hierarchy)
+    assert meta["extra"]["note"] == "x"
+    for name, arr in model.state_arrays().items():
+        npt.assert_array_equal(restored.state_arrays()[name], arr, err_msg=name)
 
 
 def test_checkpoint_rejects_wrong_graph(tmp_path, setup):

@@ -1,5 +1,6 @@
 """The fused recurrence ops against the unfused per-step tape, and the shape
-of the tape they leave."""
+of the tape they leave. The GRU scan runs on packed batches; its oracle is
+the masked per-step layer, whose prefix masks hold the same lengths."""
 
 import tracemalloc
 
@@ -9,26 +10,23 @@ import pytest
 
 from lexcite import autodiff as ad
 from lexcite.autodiff import Parameter, no_grad
-from lexcite.nn import BiGRU, BiLSTM
+from lexcite.nn import BiGRU, BiLSTM, pack
 
 from oracles import bigru_direction_unfused, bilstm_direction_unfused
 
 N, D_IN, HIDDEN = 5, 4, 3
 
 
-def _masks(rng, t_len):
-    """Every mask shape the fused GRU must handle, by name."""
-    random = rng.random((N, t_len)) < 0.6
-    trailing = np.ones((N, t_len), dtype=bool)
-    for row, length in enumerate([t_len, 1, t_len - 2, 3, t_len // 2]):
-        trailing[row, max(length, 1):] = False
-    first_only = np.zeros((N, t_len), dtype=bool)
-    first_only[:, 0] = True
+def _lengths(rng, t_len):
+    """Every length pattern the packed GRU must handle, by name: all equal,
+    random, ragged with one of each extreme, all length 1, and a mix."""
+    random = rng.integers(1, t_len + 1, size=N)
+    trailing = np.clip([t_len, 1, t_len - 2, 3, t_len // 2], 1, t_len)
     mixed = trailing.copy()
-    mixed[1] = first_only[1]
     mixed[2] = random[2]
-    return {"full": np.ones((N, t_len), dtype=bool), "random": random, "trailing": trailing,
-            "first-step-only": first_only, "mixed": mixed}
+    mixed[4] = 1
+    return {"full": np.full(N, t_len), "random": random, "trailing": trailing,
+            "first-step-only": np.ones(N, dtype=int), "mixed": mixed}
 
 
 def _grads(out, upstream, leaves):
@@ -38,9 +36,9 @@ def _grads(out, upstream, leaves):
     return {name: p.grad.copy() for name, p in leaves.items()}
 
 
-def _check_against_oracle(fused, oracle, leaves, rng):
+def _check_against_oracle(fused, oracle, leaves, rng, atol=0.0):
     fused_out, oracle_out = fused(), oracle()
-    assert np.array_equal(fused_out.data, oracle_out.data)
+    npt.assert_allclose(fused_out.data, oracle_out.data, rtol=0, atol=atol)
     upstream = rng.normal(size=fused_out.shape)
     got = _grads(fused_out, upstream, leaves)
     want = _grads(oracle_out, upstream, leaves)
@@ -48,17 +46,30 @@ def _check_against_oracle(fused, oracle, leaves, rng):
         npt.assert_allclose(got[name], want[name], rtol=0, atol=1e-12, err_msg=name)
 
 
+def test_pack_ranks_longest_first_and_keeps_ties_in_order():
+    sizes, rows, steps = pack([2, 3, 1, 3])
+    npt.assert_array_equal(sizes, [4, 3, 2])
+    npt.assert_array_equal(rows, [1, 3, 0, 2, 1, 3, 0, 1, 3])
+    npt.assert_array_equal(steps, [0, 0, 0, 0, 1, 1, 1, 2, 2])
+
+
 @pytest.mark.parametrize("t_len", [1, 2, 9])
 @pytest.mark.parametrize("d", ["fw", "bw"])
-@pytest.mark.parametrize("mask_kind", ["full", "random", "trailing", "first-step-only", "mixed"])
-def test_gru_scan_matches_unfused_direction(t_len, d, mask_kind):
-    rng = np.random.default_rng(t_len * 10 + len(mask_kind))
+@pytest.mark.parametrize("lengths_kind", ["full", "random", "trailing", "first-step-only",
+                                          "mixed"])
+def test_gru_scan_matches_unfused_direction(t_len, d, lengths_kind):
+    # the packed scan's real steps against the masked per-step oracle's
+    rng = np.random.default_rng(t_len * 10 + len(lengths_kind))
     layer = BiGRU(rng, D_IN, HIDDEN, "g")
     x = Parameter(rng.normal(size=(N, t_len, D_IN)))
-    mask = _masks(rng, t_len)[mask_kind]
+    lengths = _lengths(rng, t_len)[lengths_kind]
+    sizes, rows, steps = pack(lengths)
+    mask = np.arange(t_len) < lengths[:, None]
     leaves = {"x": x, **{k: v for k, v in layer.params.items() if f".{d}." in k}}
-    _check_against_oracle(lambda: layer._direction(x, mask, d),
-                          lambda: bigru_direction_unfused(layer, x, mask, d), leaves, rng)
+    _check_against_oracle(
+        lambda: layer._direction(ad.getitem(x, (rows, steps)), sizes, d),
+        lambda: ad.getitem(bigru_direction_unfused(layer, x, mask, d), (rows, steps)),
+        leaves, rng, atol=1e-12)
 
 
 @pytest.mark.parametrize("t_len", [1, 2, 9])
@@ -75,10 +86,13 @@ def test_lstm_scan_matches_unfused_direction(t_len, d):
 def test_bidirectional_output_is_both_unfused_directions(rng):
     gru, lstm = BiGRU(rng, D_IN, HIDDEN, "g"), BiLSTM(rng, D_IN, HIDDEN, "l")
     x = Parameter(rng.normal(size=(N, 7, D_IN)))
-    mask = _masks(rng, 7)["mixed"]
-    want = np.concatenate([bigru_direction_unfused(gru, x, mask, d).data
-                           for d in ("fw", "bw")], axis=2)
-    assert np.array_equal(gru(x, mask).data, want)
+    lengths = _lengths(rng, 7)["mixed"]
+    sizes, rows, steps = pack(lengths)
+    mask = np.arange(7) < lengths[:, None]
+    want = np.concatenate([bigru_direction_unfused(gru, x, mask, d).data[rows, steps]
+                           for d in ("fw", "bw")], axis=1)
+    npt.assert_allclose(gru(ad.getitem(x, (rows, steps)), sizes).data, want, rtol=0,
+                        atol=1e-12)
     want = np.concatenate([bilstm_direction_unfused(lstm, x, d).data
                            for d in ("fw", "bw")], axis=2)
     assert np.array_equal(lstm(x).data, want)
@@ -100,8 +114,10 @@ def test_tape_size_does_not_grow_with_sequence_length(kind, rng, monkeypatch):
     calls = _count_tracked(monkeypatch)
     counts = []
     for t_len in (1, 9):
-        x = Parameter(rng.normal(size=(N, t_len, D_IN)))
-        args = (x, np.ones((N, t_len), dtype=bool)) if kind == "gru" else (x,)
+        if kind == "gru":
+            args = (Parameter(rng.normal(size=(N * t_len, D_IN))), np.full(t_len, N))
+        else:
+            args = (Parameter(rng.normal(size=(N, t_len, D_IN))),)
         calls.clear()
         layer(*args)
         counts.append(len(calls))
@@ -110,13 +126,12 @@ def test_tape_size_does_not_grow_with_sequence_length(kind, rng, monkeypatch):
 
 def test_scans_record_and_store_nothing_without_gradients(rng, monkeypatch):
     t_len, hidden = 64, 16
-    pre3 = Parameter(rng.normal(size=(N, t_len, 3 * hidden)))
+    pre3 = Parameter(rng.normal(size=(N * t_len, 3 * hidden)))
     pre4 = Parameter(rng.normal(size=(N, t_len, 4 * hidden)))
     u_zr = Parameter(rng.normal(size=(hidden, 2 * hidden)))
     u_n = Parameter(rng.normal(size=(hidden, hidden)))
     u = Parameter(rng.normal(size=(hidden, 4 * hidden)))
-    mask = np.ones((N, t_len), dtype=bool)
-    runs = {"gru": lambda: ad.gru_scan(pre3, mask, u_zr, u_n),
+    runs = {"gru": lambda: ad.gru_scan(pre3, np.full(t_len, N), u_zr, u_n),
             "lstm": lambda: ad.lstm_scan(pre4, u, reverse=True)}
     calls = _count_tracked(monkeypatch)
     for name, run in runs.items():
