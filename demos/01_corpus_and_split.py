@@ -8,8 +8,8 @@ Run:  python demos/01_corpus_and_split.py
 import tempfile
 from pathlib import Path
 
-from lexcite.corpus import (build_vocab, encode_text, load_facts_with_report, load_hierarchy,
-                            tokenize)
+from lexcite.corpus import (build_vocab, encode_corpus, load_facts_with_report,
+                            load_hierarchy, tokenize)
 from lexcite.split import SplitSpec, iterative_stratified_split, split_report
 from lexcite.synth import write_synth
 
@@ -33,12 +33,14 @@ print(f"first sentence tokens: {sample.sentences[0][:10]}\n")
 # tokenization keeps bracketed entity masks whole
 print("tokenizer on masked text:", tokenize("On [DATE 1], [PERSON 2] assaulted the victim."))
 
-# --- vocabulary and fixed-shape encoding ----------------------------------------
+# --- vocabulary and index-grid encoding -----------------------------------------
 vocab = build_vocab([d.tokens() for d in docs] + [s.tokens() for s in hierarchy.sections],
                     min_freq=1)
 print(f"\nvocabulary: {len(vocab)} entries (index 0 = padding, 1 = unknown)")
 
-grid, mask = encode_text(sample, vocab, max_sents=4, max_words=8)
+# caps of 4 sentences x 8 words truncate; the grid is the kept text's extent
+grids, masks = encode_corpus([sample], vocab, max_sents=4, max_words=8)
+grid, mask = grids[0], masks[0]
 print(f"encoded grid shape {grid.shape}, {int(mask.sum())} real tokens")
 print("round-trip of the masked region:",
       [vocab.decode(int(i)) for i in grid[0][mask[0]]][:6], "...\n")

@@ -5,7 +5,7 @@ three-way scoring, weighted multi-label training and inductive prediction.
 """
 
 from .corpus import (FactDocument, Statute, StatuteHierarchy, Vocabulary, build_vocab,
-                     encode_text, load_facts, load_hierarchy)
+                     encode_corpus, load_facts, load_hierarchy)
 from .graph import (HeteroGraph, MetapathInstance, MetapathSchema, build_citation_graph,
                     default_schemas)
 from .metrics import EvalReport, evaluate_predictions, macro_prf, mean_jaccard
@@ -24,7 +24,7 @@ __all__ = [
     "MetapathSchema", "Model", "ScoreTriple", "SplitSpec",
     "Statute", "StatuteHierarchy", "TrainingConfig", "Vocabulary", "build_citation_graph",
     "build_vocab", "class_weights_tws", "class_weights_vws", "combined_loss",
-    "default_schemas", "encode_text", "evaluate_predictions", "iterative_stratified_split",
+    "default_schemas", "encode_corpus", "evaluate_predictions", "iterative_stratified_split",
     "load_checkpoint", "load_facts", "load_hierarchy", "macro_prf", "mean_jaccard",
     "predict_corpus", "save_checkpoint", "synth_corpus", "train_model", "tune_threshold",
     "weighted_bce", "write_synth",

@@ -299,33 +299,15 @@ def tmean(a, axis=None, keepdims=False):
 # -- softmax ------------------------------------------------------------------
 
 
-def masked_softmax(a, mask=None, axis=-1):
-    """Softmax along `axis`; positions where `mask` is False get weight 0.
-
-    Rows that are entirely masked produce all-zero weights (and receive no
-    gradient), which is the empty-attention convention used throughout.
-    """
+def softmax(a, axis=-1):
+    """Max-shifted softmax along `axis`. A NaN score makes its row NaN, so a
+    diverged parameter shows in the loss at once."""
     a = _as_tensor(a)
-    x = a.data
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        neg = np.where(mask, x, -np.inf)
-    else:
-        neg = x
-    mx = neg.max(axis=axis, keepdims=True)
-    mx = np.where(np.isfinite(mx), mx, 0.0)
-    e = np.exp(neg - mx)
-    if mask is not None:
-        e = np.where(mask, e, 0.0)
-    denom = e.sum(axis=axis, keepdims=True)
-    p = np.divide(e, denom, out=np.zeros_like(e), where=denom > 0)
+    e = np.exp(a.data - a.data.max(axis=axis, keepdims=True))
+    p = e / e.sum(axis=axis, keepdims=True)
     if not (_grad_enabled and a.requires_grad):
         return _raw(p)
     return _tracked(p, a, lambda g: (gp := g * p) - p * gp.sum(axis=axis, keepdims=True))
-
-
-def softmax(a, axis=-1):
-    return masked_softmax(a, mask=None, axis=axis)
 
 
 # -- shape manipulation -------------------------------------------------------

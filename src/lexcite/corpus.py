@@ -9,6 +9,10 @@ Hierarchy:  a single JSON document: the act object carries ``id``, ``title``
             and ``chapters``; each chapter carries ``topics``; each topic
             carries ``sections``; each section has ``id``, ``title``, ``text``.
 Vectors:    one whitespace-separated ``token v1 .. v_d`` line per word.
+
+:func:`encode_corpus` is the one function that builds the index grids the
+text encoder reads, and it builds each at the extent of its documents, not at
+the caps.
 """
 
 from __future__ import annotations
@@ -286,27 +290,23 @@ def build_vocab(corpora, min_freq: int = 1) -> Vocabulary:
     return Vocabulary(kept, {tok: freqs[tok] for tok in kept})
 
 
-def encode_text(doc, vocab: Vocabulary, max_sents: int, max_words: int):
-    """Pad/truncate a document to a fixed (max_sents, max_words) index grid.
+def encode_corpus(docs, vocab: Vocabulary, max_sents: int, max_words: int):
+    """Index grids (N, S, W) and boolean masks of real tokens for `docs`.
 
-    Returns the int grid and a boolean mask marking real tokens. Truncation
-    keeps the first sentences and the first words of each sentence.
-    """
+    Truncation keeps the first `max_sents` sentences and the first
+    `max_words` words of each. The grids are allocated at the extent of what
+    is kept: S reaches the last non-empty kept sentence of any document and
+    W the longest kept sentence, both at least 1. No grid is ever built at
+    the caps."""
     if max_sents < 1 or max_words < 1:
         raise ValueError("max_sents and max_words must be >= 1")
-    grid = np.full((max_sents, max_words), PAD_INDEX, dtype=np.int64)
-    mask = np.zeros((max_sents, max_words), dtype=bool)
-    for i, sentence in enumerate(doc.sentences[:max_sents]):
-        words = sentence[:max_words]
-        grid[i, : len(words)] = [vocab.encode(w) for w in words]
-        mask[i, : len(words)] = True
-    return grid, mask
-
-
-def encode_corpus(docs, vocab: Vocabulary, max_sents: int, max_words: int):
-    """Stack per-document grids into (N, max_sents, max_words) arrays."""
-    grids = np.zeros((len(docs), max_sents, max_words), dtype=np.int64)
-    masks = np.zeros((len(docs), max_sents, max_words), dtype=bool)
-    for i, doc in enumerate(docs):
-        grids[i], masks[i] = encode_text(doc, vocab, max_sents, max_words)
+    kept = [[sentence[:max_words] for sentence in doc.sentences[:max_sents]] for doc in docs]
+    s_len = max([1] + [i + 1 for doc in kept for i, words in enumerate(doc) if words])
+    w_len = max([1] + [len(words) for doc in kept for words in doc])
+    grids = np.full((len(docs), s_len, w_len), PAD_INDEX, dtype=np.int64)
+    masks = np.zeros((len(docs), s_len, w_len), dtype=bool)
+    for i, doc in enumerate(kept):
+        for j, words in enumerate(doc[:s_len]):
+            grids[i, j, : len(words)] = [vocab.encode(w) for w in words]
+            masks[i, j, : len(words)] = True
     return grids, masks

@@ -1,10 +1,11 @@
 """Hierarchical attention text encoder shared by facts and statutes.
 
-A document arrives as a padded (sentences x words) index grid whose mask is
-a prefix in every row, so it amounts to word and sentence lengths. Words are
-embedded, run through a bidirectional gated recurrence and attention-pooled
-into sentence vectors; sentence vectors go through a second recurrence and
-attention to yield one document embedding. Both levels run packed
+A document arrives as a padded (sentences x words) index grid, built by
+:func:`lexcite.corpus.encode_corpus` at the extent of its call, whose mask
+is a prefix in every row, so it amounts to word and sentence lengths. Words
+are embedded, run through a bidirectional gated recurrence and
+attention-pooled into sentence vectors; sentence vectors go through a second
+recurrence and attention to yield one document embedding. Both levels run packed
 (:func:`lexcite.nn.pack`): the word level on the real tokens of the real
 sentences alone, the sentence level on each document's real sentences. No
 padded cell is embedded, projected, run or attended, so padding cannot
@@ -147,13 +148,3 @@ def _prefix_lengths(masks: np.ndarray, unit: str) -> np.ndarray:
                          f"{unit}: batch positions {bad.tolist()}")
     return lengths
 
-
-def trim_to_extent(grids: np.ndarray, masks: np.ndarray):
-    """Cut (B, S, W) grids after the last real sentence and word of any row.
-
-    Trailing padding only carries state through, so this saves work without
-    changing the encoding beyond rounding. All-padding input keeps one cell,
-    so the encoder still rejects it."""
-    s_len = int(np.max(np.flatnonzero(masks.any(axis=(0, 2))), initial=0)) + 1
-    w_len = int(np.max(np.flatnonzero(masks.any(axis=(0, 1))), initial=0)) + 1
-    return grids[:, :s_len, :w_len], masks[:, :s_len, :w_len]

@@ -17,7 +17,7 @@ from . import autodiff as ad
 from .autodiff import Tensor, no_grad
 from .corpus import StatuteHierarchy, Vocabulary, encode_corpus
 from .graph import HeteroGraph, default_schemas
-from .han import TextEncoder, trim_to_extent
+from .han import TextEncoder
 from .scorer import MatchScorer, ScoreTriple
 from .structural import LookupEncoder, MetapathEncoder
 
@@ -28,7 +28,7 @@ if TYPE_CHECKING:
 class Model:
     """Owns the run's inputs: the TrainingConfig it is built from (kept as
     `config`), the vocabulary, the citation graph and the statute hierarchy,
-    whose section texts it encodes once at construction, cut to their extent."""
+    whose section texts it encodes once at construction, at their extent."""
 
     def __init__(self, rng: np.random.Generator, config: TrainingConfig, vocab: Vocabulary,
                  graph: HeteroGraph, hierarchy: StatuteHierarchy,
@@ -39,9 +39,8 @@ class Model:
         self.graph = graph
         self.hierarchy = hierarchy
         self.section_ids = hierarchy.section_ids
-        grids, masks = trim_to_extent(*encode_corpus(hierarchy.sections, vocab,
-                                                     config.max_sents, config.max_words))
-        self.section_grids, self.section_masks = grids.copy(), masks.copy()
+        self.section_grids, self.section_masks = encode_corpus(
+            hierarchy.sections, vocab, config.max_sents, config.max_words)
         self.schemas = default_schemas()
         self.text_encoder = TextEncoder(rng, len(vocab), config.embed_dim, config.d_prime,
                                         dropout=config.dropout, pretrained=pretrained,
@@ -71,9 +70,10 @@ class Model:
         given for facts that are nodes of the graph (training facts).
 
         The facts and the sections are encoded in two text-encoder calls, each
-        at its own extent. In training, the dropout multipliers of all rows,
-        facts first and then sections, are drawn once per batch at the
-        sentence cap, so a row's draws do not depend on its batch-mates.
+        on its grids as `encode_corpus` built them, at their own extent. In
+        training, the dropout multipliers of all rows, facts first and then
+        sections, are drawn once per batch at the sentence cap, so a row's
+        draws do not depend on its batch-mates.
         """
         n_facts = fact_grids.shape[0]
         k = self.config.k_instances
@@ -85,7 +85,7 @@ class Model:
                 dropout_rng, n_facts + len(self.section_ids), self.config.max_sents)
             fact_keep = sent[:n_facts], doc[:n_facts]
             section_keep = sent[n_facts:], doc[n_facts:]
-        h_f_attr = self.text_encoder(*trim_to_extent(fact_grids, fact_masks), keep=fact_keep)
+        h_f_attr = self.text_encoder(fact_grids, fact_masks, keep=fact_keep)
         h_s_attr = self.text_encoder(self.section_grids, self.section_masks, keep=section_keep)
         h_s_struct = self.struct_encoder.encode(self.graph, self.section_ids, k, sample_seed,
                                                 attr_embeddings=h_s_attr)
@@ -115,7 +115,7 @@ class Model:
         """Attribute and alignment scores for a single fact (inductive path:
         no fact-side graph access)."""
         with no_grad():
-            h_f = self.text_encoder(*trim_to_extent(grid[None], mask[None]))
+            h_f = self.text_encoder(grid[None], mask[None])
             o_attr, o_align = self.scorer.score_sections(h_f, state)
             return o_attr.data[0], o_align.data[0]
 

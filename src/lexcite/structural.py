@@ -90,7 +90,6 @@ class MetapathEncoder:
         type_local = np.array(graph.type_index)
 
         tables = {t: self.feature_table(t) for t in NODE_TYPES}
-        target_feats = ad.embedding(tables[node_type], type_local[gidx])
 
         per_schema: list[Tensor] = []
         weights: dict[str, np.ndarray] = {}

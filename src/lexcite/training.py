@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from . import nn
 from .autodiff import Tensor
-from .corpus import FactDocument, StatuteHierarchy, Vocabulary, encode_corpus, encode_text
+from .corpus import FactDocument, StatuteHierarchy, Vocabulary, encode_corpus
 from .graph import HeteroGraph
 from .metrics import macro_prf
 from .model import Model
@@ -75,8 +75,12 @@ class TrainingConfig:
             raise ValueError(f"unknown weighting scheme {self.weighting!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must lie in [0, 1)")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        for name in ("batch_size", "k_instances", "embed_dim", "d_prime", "d_node", "d_m",
+                     "d_s", "max_sents", "max_words"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.d_prime % 2:
+            raise ValueError("d_prime must be even (the text encoder's two directions)")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if self.structural not in ("metapath", "lookup"):
@@ -177,8 +181,8 @@ def predict_corpus(model: Model, docs: list[FactDocument], tau: float | None = N
     state = model.prepare_inference()
     preds, all_scores = [], []
     for doc in docs:
-        grid, mask = encode_text(doc, model.vocab, config.max_sents, config.max_words)
-        o_attr, o_align = model.score_one(state, grid, mask)
+        grids, masks = encode_corpus([doc], model.vocab, config.max_sents, config.max_words)
+        o_attr, o_align = model.score_one(state, grids[0], masks[0])
         scores = config.lambda_a * o_attr + config.lambda_l * o_align
         preds.append(_label_set(scores, tau, model.section_ids))
         all_scores.append(scores)
@@ -223,14 +227,14 @@ def _epoch_seed(seed: int, epoch: int) -> int:
 def train_model(model: Model, train_docs: list[FactDocument], val_docs: list[FactDocument],
                 log_hook=None) -> TrainResult:
     """Adam training over mini-batches with per-epoch validation, under the
-    model's own config.
+    model's own config. Each batch's facts are encoded when the batch is
+    taken, at the batch's extent.
 
     The model is left holding the parameters of the best validation epoch;
     of tied epochs the last, most trained one wins.
     Raises DivergenceError on non-finite loss.
     """
     config, section_ids = model.config, model.section_ids
-    grids, masks = encode_corpus(train_docs, model.vocab, config.max_sents, config.max_words)
     targets = np.stack([model.hierarchy.label_vector(d.labels) for d in train_docs])
     freqs = citation_frequencies(train_docs, section_ids)
     weights = class_weights(freqs, len(train_docs), config)
@@ -251,8 +255,10 @@ def train_model(model: Model, train_docs: list[FactDocument], val_docs: list[Fac
         n_batches = 0
         for start in range(0, n, config.batch_size):
             batch = order[start : start + config.batch_size]
-            fact_ids = [train_docs[i].id for i in batch] if use_structural else None
-            triple = model.forward(grids[batch], masks[batch], sample_seed, fact_ids=fact_ids,
+            docs = [train_docs[i] for i in batch]
+            grids, masks = encode_corpus(docs, model.vocab, config.max_sents, config.max_words)
+            fact_ids = [doc.id for doc in docs] if use_structural else None
+            triple = model.forward(grids, masks, sample_seed, fact_ids=fact_ids,
                                    training=True, dropout_rng=dropout_rng)
             y = targets[batch]
             loss_a = weighted_bce(triple.attribute, y, weights)

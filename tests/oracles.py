@@ -6,8 +6,9 @@ vectorized code paths under test. These are the oracles the
 test suite compares against. The exceptions run the model's own layers in
 an earlier arrangement: the pair of unfused recurrences, which record every
 time step as elementary tape ops and so check the fused scan ops, forward
-and backward, on the tape itself; and the model forward that encodes facts
-and sections in one text-encoder call.
+and backward, on the tape itself; the model forward that encodes facts
+and sections in one text-encoder call; and the grid encoding that pads every
+document to the caps and then cuts the stack to its extent.
 """
 
 from __future__ import annotations
@@ -17,9 +18,8 @@ import math
 import numpy as np
 
 from lexcite import autodiff as ad
-from lexcite.corpus import CorpusError, encode_corpus
+from lexcite.corpus import PAD_INDEX, CorpusError
 from lexcite.graph import MetapathInstance
-from lexcite.han import trim_to_extent
 
 
 def softmax_scalar(scores, mask=None):
@@ -196,13 +196,18 @@ def bilstm_direction_unfused(layer, x, d):
 
 def forward_concatenated(model, fact_grids, fact_masks, sample_seed, fact_ids=None):
     """`Model.forward` without dropout, with the facts and the sections
-    encoded in one text-encoder call, cut to the extent of the longest of
-    them; returns the score triple."""
+    encoded in one text-encoder call, both padded to the extent of the longest
+    of them; returns the score triple."""
     config = model.config
-    sec_grids, sec_masks = encode_corpus(model.hierarchy.sections, model.vocab,
-                                         config.max_sents, config.max_words)
-    grids, masks = trim_to_extent(np.concatenate([fact_grids, sec_grids]),
-                                  np.concatenate([fact_masks, sec_masks]))
+    sec_grids, sec_masks = encode_capped_then_trimmed(model.hierarchy.sections, model.vocab,
+                                                      config.max_sents, config.max_words)
+    s_len = max(fact_grids.shape[1], sec_grids.shape[1])
+    w_len = max(fact_grids.shape[2], sec_grids.shape[2])
+    grids = np.full((len(fact_grids) + len(sec_grids), s_len, w_len), PAD_INDEX)
+    masks = np.zeros(grids.shape, dtype=bool)
+    for lo, g, m in ((0, fact_grids, fact_masks), (len(fact_grids), sec_grids, sec_masks)):
+        grids[lo : lo + len(g), : g.shape[1], : g.shape[2]] = g
+        masks[lo : lo + len(m), : m.shape[1], : m.shape[2]] = m
     n_facts = fact_grids.shape[0]
     attr = model.text_encoder(grids, masks)
     h_f, h_s = attr[:n_facts], attr[n_facts:]
@@ -362,8 +367,26 @@ def average_labels_per_doc(docs) -> float:
     return sum(len(d.labels) for d in docs) / len(docs)
 
 
+def encode_capped_then_trimmed(docs, vocab, max_sents, max_words):
+    """Index grids and masks the way they were built before `encode_corpus`
+    built them at their extent: every document padded to the
+    (max_sents, max_words) caps, then the stack cut after the last real
+    sentence and the last real word of any document, keeping at least one
+    cell."""
+    grids = np.full((len(docs), max_sents, max_words), PAD_INDEX, dtype=np.int64)
+    masks = np.zeros((len(docs), max_sents, max_words), dtype=bool)
+    for i, doc in enumerate(docs):
+        for j, sentence in enumerate(doc.sentences[:max_sents]):
+            for k, word in enumerate(sentence[:max_words]):
+                grids[i, j, k] = vocab.encode(word)
+                masks[i, j, k] = True
+    s_len = 1 + max([0] + [j for j in range(max_sents) if masks[:, j, :].any()])
+    w_len = 1 + max([0] + [k for k in range(max_words) if masks[:, :, k].any()])
+    return grids[:, :s_len, :w_len], masks[:, :s_len, :w_len]
+
+
 def decode_text(grid, mask, vocab) -> list[list[str]]:
-    """Inverse of `encode_text` on the masked region."""
+    """Inverse of `encode_corpus` for one document, on the masked region."""
     out = []
     for row, mrow in zip(grid, mask):
         if mrow.any():

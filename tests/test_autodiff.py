@@ -5,7 +5,7 @@ import pytest
 from lexcite import autodiff as ad
 from lexcite.autodiff import Parameter, Tensor, no_grad
 
-from oracles import fd_gradients, max_rel_error
+from oracles import fd_gradients, max_rel_error, softmax_scalar
 
 
 def fd_check(build_loss, params, tol=1e-4, h=1e-6):
@@ -95,20 +95,25 @@ class TestSoftmax:
         p = ad.softmax(x, axis=1)
         npt.assert_allclose(p.data.sum(axis=1), np.ones(4), atol=1e-12)
 
-    def test_masked_rows(self, rng):
-        x = Tensor(rng.normal(size=(2, 4)))
-        mask = np.array([[True, True, False, False], [False, False, False, False]])
-        p = ad.masked_softmax(x, mask=mask, axis=1)
-        npt.assert_allclose(p.data[0, 2:], 0.0)
-        npt.assert_allclose(p.data[0].sum(), 1.0)
-        npt.assert_allclose(p.data[1], 0.0)  # fully masked row -> zeros
+    def test_large_scores_stay_finite(self, rng):
+        # the max shift keeps exp from overflowing, and leaves the weights as
+        # the scalar softmax gives them
+        scores = rng.normal(size=(2, 4)) + np.array([[1000.0], [-1000.0]])
+        p = ad.softmax(Tensor(scores), axis=1)
+        for row, want in zip(p.data, scores):
+            npt.assert_allclose(row, softmax_scalar(want.tolist()), rtol=0, atol=1e-15)
+        npt.assert_allclose(p.data.sum(axis=1), 1.0, atol=1e-12)
+
+    def test_nan_score_gives_a_nan_row(self):
+        p = ad.softmax(Tensor(np.array([[1.0, np.nan, 2.0], [1.0, 0.0, 2.0]])), axis=1)
+        assert np.isnan(p.data[0]).all()
+        assert np.isfinite(p.data[1]).all()
 
     def test_gradient(self, rng):
         x = Parameter(rng.normal(size=(3, 5)))
-        mask = rng.random((3, 5)) > 0.3
-        mask[:, 0] = True
         w = rng.normal(size=(3, 5))
-        fd_check(lambda: ad.tsum(ad.mul(ad.masked_softmax(x, mask=mask, axis=1), w)), {"x": x})
+        fd_check(lambda: ad.tsum(ad.mul(ad.softmax(x, axis=1), w)), {"x": x})
+        fd_check(lambda: ad.tsum(ad.mul(ad.softmax(x, axis=0), w)), {"x": x})
 
     def test_packed_ops_match_the_masked_time_major_grid(self, rng):
         # three sequences of lengths 3, 2 and 2, packed time-major
@@ -118,7 +123,7 @@ class TestSoftmax:
         a = Parameter(rng.normal(size=(7, 2)))
         grid = np.zeros((3, 3))
         grid[live] = x.data
-        want = ad.masked_softmax(grid, mask=live, axis=0).data[live]
+        want = np.array([softmax_scalar(col, keep) for col, keep in zip(grid.T, live.T)]).T[live]
         npt.assert_allclose(ad.packed_softmax(x, sizes).data, want, rtol=0, atol=1e-15)
         cells = np.zeros((3, 3, 2))
         cells[live] = a.data

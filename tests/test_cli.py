@@ -201,6 +201,22 @@ def test_invalid_config_value_rejected_before_echo(pipeline, tmp_path, capsys):
     assert not (out / "effective_config.json").exists()
 
 
+@pytest.mark.parametrize("bad", [{"d_s": 0}, {"d_m": 0}, {"d_node": 0}, {"d_prime": 0},
+                                 {"d_prime": 15}, {"k_instances": 0}, {"embed_dim": 0}],
+                         ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()))
+def test_degenerate_size_refused_before_any_file(pipeline, tmp_path, capsys, bad):
+    cfg_path = tmp_path / "degenerate.json"
+    cfg_path.write_text(json.dumps({**CONFIG, **bad}))
+    out = tmp_path / "run"
+    assert main(["train", "--facts", str(pipeline / "splits" / "train.jsonl"),
+                 "--val-facts", str(pipeline / "splits" / "validation.jsonl"),
+                 "--hierarchy", str(pipeline / "data" / "hierarchy.json"),
+                 "--graph", str(pipeline / "graph" / "graph.json"),
+                 "--config", str(cfg_path), "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize("command,missing", [
     ("train", "--graph"), ("evaluate", "--facts"), ("predict", "--graph"),
 ])

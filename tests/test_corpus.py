@@ -9,7 +9,7 @@ from lexcite.corpus import (
     PAD_INDEX,
     UNK_INDEX,
     build_vocab,
-    encode_text,
+    encode_corpus,
     load_facts,
     load_facts_with_report,
     load_hierarchy,
@@ -17,7 +17,7 @@ from lexcite.corpus import (
 )
 
 from conftest import make_fact, write_facts_file, write_hierarchy_file
-from oracles import average_labels_per_doc, decode_text
+from oracles import average_labels_per_doc, decode_text, encode_capped_then_trimmed
 
 
 def test_tokenize_keeps_entity_masks_whole():
@@ -183,34 +183,81 @@ class TestVocabulary:
 
 
 class TestEncodeText:
+    """One document through `encode_corpus`."""
+
     def setup_method(self):
         self.vocab = build_vocab([["w1", "w2", "w3"]], min_freq=1)
 
+    def encode(self, doc, max_sents, max_words):
+        grids, masks = encode_corpus([doc], self.vocab, max_sents, max_words)
+        return grids[0], masks[0]
+
     def test_padding_arithmetic(self):
-        doc = make_fact("d", {"S1"}, sentences=[["w1", "w2", "w3"], ["w1", "w2", "w3"]])
-        grid, mask = encode_text(doc, self.vocab, max_sents=4, max_words=5)
-        assert grid.shape == (4, 5)
-        assert mask.sum() == 6
-        assert (grid[2:] == PAD_INDEX).all()
+        # the grid is the document's extent, not the caps
+        doc = make_fact("d", {"S1"}, sentences=[["w1", "w2"], ["w1", "w2", "w3"]])
+        grid, mask = self.encode(doc, max_sents=4, max_words=5)
+        assert grid.shape == (2, 3)
+        assert mask.sum() == 5
+        assert grid[0, 2] == PAD_INDEX and not mask[0, 2]
 
     def test_truncation_keeps_first(self):
         doc = make_fact("d", {"S1"}, sentences=[[f"w{i}"] for i in range(1, 7)])
-        grid, mask = encode_text(doc, self.vocab, max_sents=4, max_words=2)
+        grid, mask = self.encode(doc, max_sents=4, max_words=2)
+        assert grid.shape == (4, 1)
         assert mask[:4, 0].all() and mask.sum() == 4
         assert grid[0, 0] == self.vocab.encode("w1")
 
     def test_out_of_vocab_maps_to_unknown(self):
         doc = make_fact("d", {"S1"}, sentences=[["w1", "zzz", "zzz"]])
-        grid, _ = encode_text(doc, self.vocab, max_sents=2, max_words=4)
+        grid, _ = self.encode(doc, max_sents=2, max_words=4)
         assert grid[0, 1] == UNK_INDEX and grid[0, 2] == UNK_INDEX
 
     def test_roundtrip_through_mask(self):
         doc = make_fact("d", {"S1"}, sentences=[["w1", "w2"], ["w3", "w1", "w2", "w3"]])
-        grid, mask = encode_text(doc, self.vocab, max_sents=3, max_words=3)
+        grid, mask = self.encode(doc, max_sents=3, max_words=3)
         decoded = decode_text(grid, mask, self.vocab)
         assert decoded == [["w1", "w2"], ["w3", "w1", "w2"]]  # truncated at 3 words
 
     def test_invalid_limits(self):
         doc = make_fact("d", {"S1"})
         with pytest.raises(ValueError):
-            encode_text(doc, self.vocab, max_sents=0, max_words=3)
+            encode_corpus([doc], self.vocab, max_sents=0, max_words=3)
+        with pytest.raises(ValueError):
+            encode_corpus([doc], self.vocab, max_sents=3, max_words=0)
+
+
+class TestEncodeCorpus:
+    def setup_method(self):
+        self.vocab = build_vocab([["w1", "w2", "w3"]], min_freq=1)
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("caps", [(3, 4), (12, 12), (1, 1)])
+    def test_matches_the_cap_then_trim_reference(self, seed, caps):
+        # random documents, with empty sentences anywhere (trailing ones
+        # included) and unknown words; (12, 12) never binds
+        rng = np.random.default_rng(seed)
+        words = ["w1", "w2", "w3", "zzz"]
+        docs = [make_fact(f"d{i}", {"S1"}, sentences=[
+                    [words[k] for k in rng.integers(0, 4, size=rng.integers(0, 9))]
+                    for _ in range(rng.integers(0, 9))])
+                for i in range(int(rng.integers(0, 6)))]
+        grids, masks = encode_corpus(docs, self.vocab, *caps)
+        want_grids, want_masks = encode_capped_then_trimmed(docs, self.vocab, *caps)
+        assert grids.dtype == want_grids.dtype and masks.dtype == want_masks.dtype
+        np.testing.assert_array_equal(grids, want_grids)
+        np.testing.assert_array_equal(masks, want_masks)
+
+    def test_extent_is_the_longest_kept_document_and_sentence(self):
+        docs = [make_fact("a", {"S1"}, sentences=[["w1"] * 7]),
+                make_fact("b", {"S1"}, sentences=[["w2"], ["w3"], ["w1", "w2"]])]
+        grids, masks = encode_corpus(docs, self.vocab, max_sents=2, max_words=5)
+        assert grids.shape == masks.shape == (2, 2, 5)
+        assert masks.sum(axis=(1, 2)).tolist() == [5, 2]
+        grids, _ = encode_corpus(docs, self.vocab, max_sents=8, max_words=8)
+        assert grids.shape == (2, 3, 7)
+
+    def test_documents_without_tokens_keep_one_cell(self):
+        grids, masks = encode_corpus([make_fact("e", {"S1"}, sentences=[[], []])],
+                                     self.vocab, 4, 4)
+        assert grids.shape == (1, 1, 1) and not masks.any()
+        assert encode_corpus([], self.vocab, 4, 4)[0].shape == (0, 1, 1)

@@ -6,16 +6,16 @@ import numpy.testing as npt
 import pytest
 
 from lexcite.autodiff import no_grad
-from lexcite.corpus import (StatuteHierarchy, build_vocab, encode_corpus, load_facts,
-                            load_hierarchy)
+from lexcite.corpus import (FactDocument, StatuteHierarchy, build_vocab, encode_corpus,
+                            load_facts, load_hierarchy)
 from lexcite.graph import build_citation_graph
-from lexcite.han import TextEncoder, trim_to_extent
+from lexcite.han import TextEncoder
 from lexcite.model import Model
 from lexcite.split import SplitSpec, iterative_stratified_split
 from lexcite.synth import write_synth
 from lexcite.training import TrainingConfig, load_checkpoint, save_checkpoint, train_model
 
-from oracles import forward_concatenated
+from oracles import encode_capped_then_trimmed, forward_concatenated
 
 
 @pytest.fixture(scope="module")
@@ -49,8 +49,9 @@ def test_forward_shapes(setup):
 
 
 def test_forward_matches_one_concatenated_call(setup):
-    # facts and sections in their own text-encoder calls score as one joint
-    # call trimmed to the longest of them, up to rounding
+    # facts and sections in their own text-encoder calls, each at its own
+    # extent, score as one joint call padded to the longest of them, up to
+    # rounding
     model, graph, train, _, _, hierarchy, vocab, config = setup
     batch = train[:6]
     grids, masks = encode_corpus(batch, vocab, config.max_sents, config.max_words)
@@ -65,11 +66,11 @@ def test_forward_matches_one_concatenated_call(setup):
 
 def test_sections_are_stored_at_their_own_extent(setup):
     model, _, _, _, _, hierarchy, vocab, config = setup
-    grids, masks = trim_to_extent(*encode_corpus(hierarchy.sections, vocab, config.max_sents,
-                                                 config.max_words))
+    grids, masks = encode_capped_then_trimmed(hierarchy.sections, vocab, config.max_sents,
+                                              config.max_words)
     npt.assert_array_equal(model.section_grids, grids)
     npt.assert_array_equal(model.section_masks, masks)
-    assert model.section_grids.base is None  # the cap-shape grid is not kept alive
+    assert model.section_grids.base is None  # allocated at the extent, not cut from a view
 
 
 def test_dropout_of_a_fact_ignores_its_batch_mates(setup, monkeypatch):
@@ -210,9 +211,13 @@ def test_caps_are_caps_not_shapes(setup):
         npt.assert_array_equal(at_fit, at_paper)
 
 
-def test_all_padding_fact_rejected_after_trimming(setup):
+def test_all_padding_fact_rejected(setup):
+    # at the caps, or as `encode_corpus` builds a fact without a token
     model, graph, _, _, _, hierarchy, vocab, config = setup
     state = model.prepare_inference()
-    grid = np.zeros((config.max_sents, config.max_words), dtype=np.int64)
-    with pytest.raises(ValueError, match="all-padding"):
-        model.score_one(state, grid, np.zeros_like(grid, dtype=bool))
+    empty = FactDocument(id="empty", court="synthetic", sentences=[[]], labels=set())
+    grids, masks = encode_corpus([empty], vocab, config.max_sents, config.max_words)
+    at_caps = np.zeros((config.max_sents, config.max_words), dtype=np.int64)
+    for grid, mask in ((at_caps, at_caps.astype(bool)), (grids[0], masks[0])):
+        with pytest.raises(ValueError, match="all-padding"):
+            model.score_one(state, grid, mask)

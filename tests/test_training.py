@@ -9,7 +9,7 @@ from lexcite import training
 from lexcite.autodiff import Parameter, Tensor
 from lexcite.corpus import build_vocab, encode_corpus, load_facts, load_hierarchy
 from lexcite.graph import build_citation_graph
-from lexcite.han import TextEncoder, trim_to_extent
+from lexcite.han import TextEncoder
 from lexcite.model import Model
 from lexcite.split import SplitSpec, iterative_stratified_split
 from lexcite.synth import write_synth
@@ -17,7 +17,7 @@ from lexcite.training import (DivergenceError, TrainingConfig, citation_frequenc
                               class_weights_tws, class_weights_vws, combined_loss,
                               predict_corpus, train_model, tune_threshold, weighted_bce)
 
-from oracles import tws_scalar, vws_scalar, weighted_bce_scalar
+from oracles import encode_capped_then_trimmed, tws_scalar, vws_scalar, weighted_bce_scalar
 
 
 TINY = dict(d_prime=8, d_node=8, d_m=8, d_s=8, embed_dim=8, max_sents=4, max_words=8,
@@ -165,10 +165,18 @@ class TestConfigValidation:
         {"theta_a": -1.0}, {"lambda_a": 0.0, "lambda_l": 0.0}, {"weighting": "nope"},
         {"dropout": -0.5}, {"dropout": 1.0}, {"dropout": 1.5},
         {"batch_size": 0}, {"batch_size": -3}, {"epochs": -3}, {"structural": "bogus"},
+        {"d_prime": 7},
     ])
     def test_invalid_configs_rejected(self, bad):
         with pytest.raises(ValueError):
             TrainingConfig(**bad)
+
+    @pytest.mark.parametrize("name", ["embed_dim", "d_prime", "d_node", "d_m", "d_s",
+                                      "max_sents", "max_words", "k_instances"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_degenerate_sizes_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+            TrainingConfig(**{**TINY, name: value})
 
     def test_dropout_and_batch_size_edges_accepted(self):
         cfg = TrainingConfig(dropout=0.0, batch_size=1)
@@ -252,9 +260,35 @@ class TestTrainLoop:
         # per batch the facts, then the sections; at validation the sections
         # once, then each val fact
         assert len(calls) == 2 * n_batches + 1 + len(val)
-        sections = trim_to_extent(*encode_corpus(hierarchy.sections, vocab, config.max_sents,
-                                                 config.max_words))[1].shape
+        sections = encode_capped_then_trimmed(hierarchy.sections, vocab, config.max_sents,
+                                              config.max_words)[1].shape
         assert calls[1 : 2 * n_batches : 2] == [sections] * n_batches
+
+    def test_batches_are_encoded_as_they_are_taken(self, tmp_path, monkeypatch):
+        # no grid of the whole training split is ever built: each encode
+        # call inside train_model takes one batch or one validation fact
+        model, graph, train, val, _, hierarchy, vocab, config = tiny_setup(tmp_path, epochs=2)
+        assert len(train) > config.batch_size
+        sizes = []
+        encode = training.encode_corpus
+
+        def spy(docs, *args, **kwargs):
+            sizes.append(len(docs))
+            return encode(docs, *args, **kwargs)
+
+        monkeypatch.setattr(training, "encode_corpus", spy)
+        train_model(model, train, val)
+        n_batches = -(-len(train) // config.batch_size)
+        assert len(sizes) == config.epochs * (n_batches + len(val))
+        assert max(sizes) <= config.batch_size
+        assert sum(sizes) == config.epochs * (len(train) + len(val))
+
+    def test_nan_attention_context_diverges_at_the_first_batch(self, tmp_path):
+        # a NaN score must reach the loss, not vanish into all-zero weights
+        model, graph, train, val, _, hierarchy, vocab, config = tiny_setup(tmp_path, epochs=1)
+        model.scorer.att_ctx.data[:] = np.nan
+        with pytest.raises(DivergenceError, match="epoch 0 batch 0:"):
+            train_model(model, train, val)
 
     def test_divergence_aborts_with_diagnostic(self, tmp_path):
         model, graph, train, val, _, hierarchy, vocab, config = tiny_setup(tmp_path, epochs=1)
