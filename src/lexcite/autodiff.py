@@ -212,6 +212,20 @@ def matmul(a, b):
     return _tracked(data, a, lambda g: g @ b.data.T, b, lambda g: a.data.T @ g)
 
 
+def affine(x, w, b):
+    """``x @ w + b`` for a 2-D x and a 1-D bias b, with the bias added in
+    place into the product, so no second array of its size is made."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    if x.data.ndim != 2 or w.data.ndim != 2:
+        raise ValueError("affine expects 2-D operands; reshape first")
+    data = x.data @ w.data
+    data += b.data
+    if not (_grad_enabled and (x.requires_grad or w.requires_grad or b.requires_grad)):
+        return _raw(data)
+    return _tracked(data, x, lambda g: g @ w.data.T, w, lambda g: x.data.T @ g,
+                    b, lambda g: g.sum(axis=0))
+
+
 # -- elementwise unary --------------------------------------------------------
 
 

@@ -109,8 +109,8 @@ class HeteroGraph:
 
     def __init__(self, nodes_by_type: dict[str, list[str]], edges: dict[str, list[tuple[str, str]]]):
         self.node_ids: list[str] = []
-        self.node_type: list[str] = []
-        self.type_index: list[int] = []
+        node_type: list[str] = []
+        type_index: list[int] = []
         self.nodes_of_type: dict[str, list[int]] = {t: [] for t in NODE_TYPES}
         self._index: dict[str, int] = {}
         for t in NODE_TYPES:
@@ -120,9 +120,12 @@ class HeteroGraph:
                 g = len(self.node_ids)
                 self._index[nid] = g
                 self.node_ids.append(nid)
-                self.node_type.append(t)
-                self.type_index.append(len(self.nodes_of_type[t]))
+                node_type.append(t)
+                type_index.append(len(self.nodes_of_type[t]))
                 self.nodes_of_type[t].append(g)
+        # per global index: the node's type, and its index among its type
+        self.node_type = np.array(node_type, dtype="U1")
+        self.type_index = np.array(type_index, dtype=np.int64)
 
         n = len(self.node_ids)
         src: dict[str, list[int]] = {r: [] for r in RELATIONS}
@@ -214,80 +217,91 @@ class HeteroGraph:
 
         Returns (start, steps). start[g] is True iff a walk can be completed
         from node g. steps[j] is the CSR of relation j filtered to the edges
-        into nodes from which the rest of the walk can be completed, as
-        (indptr, indices) lists; each row keeps its sorted order.
+        into nodes from which the rest of the walk can be completed, as an
+        (indptr, indices) pair of arrays; each row keeps its sorted order.
         """
         if schema.id not in self._viable_cache:
-            types = np.array(self.node_type)
-            viable = types == schema.node_types[-1]
+            viable = self.node_type == schema.node_types[-1]
             steps = []
             for j in range(schema.length - 1, -1, -1):
                 indptr, indices = self._csr[schema.relations[j]]
                 keep = viable[indices]
                 row_ptr = np.concatenate(([0], np.cumsum(keep)))[indptr]
-                viable = (types == schema.node_types[j]) & (np.diff(row_ptr) > 0)
-                steps.insert(0, (row_ptr.tolist(), indices[keep].tolist()))
+                viable = (self.node_type == schema.node_types[j]) & (np.diff(row_ptr) > 0)
+                steps.insert(0, (row_ptr, indices[keep]))
             self._viable_cache[schema.id] = (viable, steps)
         return self._viable_cache[schema.id]
 
     def sample_instances(self, v: str, schema: MetapathSchema, k: int,
                          seed: int) -> list[MetapathInstance]:
-        """Sample k instances with replacement via random typed walks.
-
-        Each step picks uniformly among typed neighbours that can still
-        complete the walk, so a draw never dead-ends: the result has exactly
-        k instances whenever at least one exists, else it is empty. The RNG
-        is derived from (seed, node, schema), which makes each node's draw
-        independent of whatever else is being encoded.
-        """
-        g = self._require(v)
-        walks = self._sample_walks_idx(g, schema, k, seed)
+        """Sample k instances of `schema` at node `v`, with replacement, by
+        random typed walks; see `_sample_walks_idx`. The result has exactly
+        k instances whenever at least one exists, else it is empty."""
+        _, walks = self._sample_walks_idx(np.array([self._require(v)]), schema, k, seed)
         return [MetapathInstance(nodes=tuple(self.node_ids[i] for i in w), schema_id=schema.id)
-                for w in walks]
+                for w in walks.reshape(-1, schema.length + 1).tolist()]
 
-    def _sample_walks_idx(self, g: int, schema: MetapathSchema, k: int,
-                          seed: int) -> list[tuple[int, ...]]:
-        """Integer fast path behind sample_instances; walks come back already
-        reversed into neighbour-first instance order.
+    def _sample_walks_idx(self, gidx: np.ndarray, schema: MetapathSchema, k: int,
+                          seed: int) -> tuple[np.ndarray, np.ndarray]:
+        """k walks of `schema` from each node of the index array `gidx`.
 
-        Draws are pure functions of (graph, seed, node, schema), so they are
-        memoized per seed: re-encoding the same nodes (finite-difference
-        loops, repeated inference) skips the walk simulation.
+        Returns (has, walks): has[i] is True iff a walk can be completed from
+        gidx[i], and walks is (has.sum(), k, M+1), the walks of those nodes
+        in neighbour-first instance order. Each step picks uniformly among the
+        typed neighbours that can still complete the walk, so a walk never
+        dead-ends. The draw of walk j at step t is keyed on (seed, node,
+        schema, j, t), so a node's walks do not depend on its batch-mates.
+
+        Results are memoized per seed on the schema, k and the node array:
+        sections are re-walked with the same seed in every batch of an epoch
+        and at every inference. Both arrays are read-only.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
-        if self.node_type[g] != schema.node_types[0]:
+        wrong = self.node_type[gidx] != schema.node_types[0]
+        if wrong.any():
+            g = int(gidx[wrong][0])
             raise GraphError(
                 f"node {self.node_ids[g]!r} has type {self.node_type[g]}, "
                 f"schema starts at {schema.node_types[0]}")
         if self._walk_cache_seed != seed:
             self._walk_cache_seed = seed
             self._walk_cache = {}
-        key = (g, schema.id, k)
+        key = (schema.id, k, gidx.tobytes())
         out = self._walk_cache.get(key)
         if out is None:
             start, steps = self._viable(schema)
-            out = []
-            if start[g]:
-                rng = np.random.default_rng(
-                    np.random.SeedSequence([seed & 0xFFFFFFFF, g, schema.seed_tag()]))
-                out = [tuple(reversed(self._draw_walk(g, steps, rng))) for _ in range(k)]
+            has = start[gidx]
+            starts = gidx[has]
+            walks = self._draw_walk(starts, steps, _walk_keys(seed, schema.seed_tag(), starts, k))
+            out = has, walks[:, :, ::-1].copy()
+            for a in out:
+                a.flags.writeable = False
             self._walk_cache[key] = out
         if self.recorder is not None:
             # every node a walk passes through counts as a structure query
-            self.recorder.append(self.node_ids[g])
-            for walk in out:
-                self.recorder.extend(self.node_ids[i] for i in walk)
+            self.recorder.extend(self.node_ids[g] for g in gidx.tolist())
+            self.recorder.extend(self.node_ids[g] for g in out[1].ravel().tolist())
         return out
 
-    def _draw_walk(self, g: int, steps, rng) -> list[int]:
-        """One walk from g over the viability-filtered CSRs of `_viable`;
-        every row it reaches is non-empty, so each step is one draw."""
-        walk = [g]
-        for indptr, indices in steps:
-            lo, hi = indptr[walk[-1]], indptr[walk[-1] + 1]
-            walk.append(indices[lo + int(rng.integers(hi - lo))])
-        return walk
+    def _draw_walk(self, starts: np.ndarray, steps, keys: np.ndarray) -> np.ndarray:
+        """Step the walks keyed by `keys` (n, k) from `starts` (n,) at once,
+        over the viability-filtered CSRs of `_viable`; every row they reach is
+        non-empty. Returns the (n, k, M+1) walks in target-first order.
+
+        A walk's draw at step t is the top 32 bits of the SplitMix64 output
+        for its key and t, mapped onto the row's cnt candidates by
+        multiply-shift, lo + (bits * cnt) >> 32 (Lemire 2019)."""
+        walks = np.empty(keys.shape + (len(steps) + 1,), dtype=np.int64)
+        cur = np.broadcast_to(starts[:, None], keys.shape)
+        walks[:, :, 0] = cur
+        for t, (indptr, indices) in enumerate(steps, start=1):
+            lo = indptr[cur]
+            cnt = (indptr[cur + 1] - lo).astype(np.uint64)
+            bits = _splitmix(keys + np.uint64(t * _GAMMA & _MASK64)) >> np.uint64(32)
+            cur = indices[lo + ((bits * cnt) >> np.uint64(32)).astype(np.int64)]
+            walks[:, :, t] = cur
+        return walks
 
     # -- serialization -----------------------------------------------------------
 
@@ -315,6 +329,30 @@ class HeteroGraph:
     @classmethod
     def load(cls, path) -> "HeteroGraph":
         return cls.from_json(json.loads(Path(path).read_text(encoding="utf-8")))
+
+
+_MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's stream increment, 2^64 / golden ratio
+
+
+def _splitmix(z: np.ndarray) -> np.ndarray:
+    """The SplitMix64 finalizer (Steele, Lea & Flood 2014) of a uint64 array
+    of states: a bijection on 64 bits whose output bits each depend on every
+    input bit. Array arithmetic wraps modulo 2^64 without a warning."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _walk_keys(seed: int, tag: int, gidx: np.ndarray, k: int) -> np.ndarray:
+    """(n, k) uint64 stream keys of the walks of nodes `gidx`: the seed, the
+    schema tag, the node and the walk number folded in one at a time, each
+    through the finalizer (a counter-based generator in the manner of Salmon
+    et al. 2011's Philox, with SplitMix64 as the bijection)."""
+    h = np.full(len(gidx), seed & _MASK64, dtype=np.uint64)
+    for word in (np.uint64(tag), gidx.astype(np.uint64)):
+        h = _splitmix((h + np.uint64(_GAMMA)) ^ word)
+    return _splitmix((h[:, None] + np.uint64(_GAMMA)) ^ np.arange(k, dtype=np.uint64))
 
 
 def _csr(n: int, src: list[int], dst: list[int]) -> tuple[np.ndarray, np.ndarray]:

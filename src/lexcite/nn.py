@@ -66,7 +66,7 @@ class BiGRU:
 
     def _direction(self, x: Tensor, sizes: np.ndarray, d: str) -> Tensor:
         p = self.params
-        pre = ad.add(ad.matmul(x, p[f"{self.name}.{d}.W"]), p[f"{self.name}.{d}.b"])
+        pre = ad.affine(x, p[f"{self.name}.{d}.W"], p[f"{self.name}.{d}.b"])
         return ad.gru_scan(pre, sizes, p[f"{self.name}.{d}.U_zr"], p[f"{self.name}.{d}.U_n"],
                            reverse=d == "bw")
 
@@ -102,7 +102,7 @@ class BiLSTM:
 def _project(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """The input projection of every step at once: (N, T, d_in) -> (N, T, k)."""
     n, t_len, d_in = x.shape
-    pre = ad.add(ad.matmul(ad.reshape(x, (n * t_len, d_in)), w), b)
+    pre = ad.affine(ad.reshape(x, (n * t_len, d_in)), w, b)
     return ad.reshape(pre, (n, t_len, w.shape[1]))
 
 
@@ -114,7 +114,7 @@ def additive_attention(h: Tensor, sizes: np.ndarray, m: Tensor, b: Tensor, conte
     Returns (pooled (sizes[0], d) in rank order, weights (P,) packed).
     """
     rows = h.shape[0]
-    u = ad.tanh(ad.add(ad.matmul(h, m), b))
+    u = ad.tanh(ad.affine(h, m, b))
     scores = ad.reshape(ad.matmul(u, ad.reshape(context, (m.shape[1], 1))), (rows,))
     weights = ad.packed_softmax(scores, sizes)
     pooled = ad.packed_sum(ad.mul(h, ad.reshape(weights, (rows, 1))), sizes)

@@ -66,7 +66,7 @@ class MatchScorer:
         n_sets, n_sec, _ = section_embeddings.shape
         states = self.seq(section_embeddings)  # (n_sets, n_sec, 2d')
         flat = ad.reshape(states, (n_sets * n_sec, 2 * self.d_prime))
-        proj = ad.add(ad.matmul(flat, self.seq_proj), self.seq_proj_b)
+        proj = ad.affine(flat, self.seq_proj, self.seq_proj_b)
         return ad.reshape(proj, (n_sets, n_sec, self.d_prime))
 
     def pool_sections(self, contextualized: Tensor, context: Tensor):
@@ -75,7 +75,7 @@ class MatchScorer:
         `context` holds one pooling context per fact (batch, d_s), as made by
         `fact_context`. Returns (pooled (batch, d'), gamma (batch, n_sec)).
         """
-        u = ad.tanh(ad.add(ad.matmul(contextualized, self.att_m), self.att_b))  # (n_sec, d_s)
+        u = ad.tanh(ad.affine(contextualized, self.att_m, self.att_b))  # (n_sec, d_s)
         scores = ad.matmul(context, u.transpose())  # (batch, n_sec)
         gamma = ad.softmax(scores, axis=1)
         pooled = ad.matmul(gamma, contextualized)
@@ -84,7 +84,7 @@ class MatchScorer:
     def score(self, h_f: Tensor, h_set: Tensor) -> Tensor:
         """sigmoid(W [h_f || h_set] + b) -> (batch, n_sections) in (0, 1)."""
         cat = ad.concat([h_f, h_set], axis=1)
-        return ad.sigmoid(ad.add(ad.matmul(cat, self.classifier_w), self.classifier_b))
+        return ad.sigmoid(ad.affine(cat, self.classifier_w, self.classifier_b))
 
     def fact_context(self, h_f: Tensor) -> Tensor:
         """Pooling contexts (batch, d_s) derived from fact embeddings (batch, d')."""

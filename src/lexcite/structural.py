@@ -23,6 +23,18 @@ from .graph import NODE_TYPES, RELATIONS, HeteroGraph, MetapathSchema
 LEAKY_SLOPE = 0.01
 
 
+def _batch_nodes(graph: HeteroGraph, node_ids: list[str]) -> tuple[np.ndarray, str]:
+    """Global indices of a batch of nodes, and their one type; a batch that
+    is empty or mixes types is refused."""
+    if not node_ids:
+        raise ValueError("empty node batch")
+    gidx = np.fromiter(map(graph.global_index, node_ids), dtype=np.int64, count=len(node_ids))
+    types = graph.node_type[gidx]
+    if (types != types[0]).any():
+        raise ValueError("encode() expects nodes of a single type")
+    return gidx, str(types[0])
+
+
 class MetapathEncoder:
     def __init__(self, rng: np.random.Generator, graph: HeteroGraph,
                  schemas: list[MetapathSchema], d_node: int, d_prime: int, d_m: int):
@@ -77,42 +89,35 @@ class MetapathEncoder:
 
         `attr_embeddings` (n, d') are the nodes' attribute embeddings, row for
         row; every attention context is derived from them."""
-        if not node_ids:
-            raise ValueError("empty node batch")
-        gidx = np.array([graph.global_index(v) for v in node_ids])
-        node_type = graph.node_type[gidx[0]]
-        if any(graph.node_type[g] != node_type for g in gidx):
-            raise ValueError("encode() expects nodes of a single type")
+        gidx, node_type = _batch_nodes(graph, node_ids)
         if attr_embeddings is None:
             raise ValueError("attention contexts require attribute embeddings")
         schemas = self.sides[node_type]
-        n = len(node_ids)
-        type_local = np.array(graph.type_index)
+        n = len(gidx)
 
         tables = {t: self.feature_table(t) for t in NODE_TYPES}
 
         per_schema: list[Tensor] = []
         weights: dict[str, np.ndarray] = {}
         for schema in schemas:
-            walks = [graph._sample_walks_idx(int(g), schema, k, seed) for g in gidx]
-            with_idx = np.array([i for i, w in enumerate(walks) if w], dtype=int)
+            has, arr = graph._sample_walks_idx(gidx, schema, k, seed)  # arr in instance order
+            with_idx = np.flatnonzero(has)
             if len(with_idx) == 0:
                 per_schema.append(Tensor(np.zeros((n, self.d_prime))))
                 continue
-            arr = np.array([walks[i] for i in with_idx])  # (n_w, k, M+1) instance order
             m_len = schema.length
 
             feats = []
             for pos in range(m_len + 1):
                 pos_type = schema.node_types[m_len - pos]
-                feats.append(ad.embedding(tables[pos_type], type_local[arr[:, :, pos]]))
+                feats.append(ad.embedding(tables[pos_type], graph.type_index[arr[:, :, pos]]))
             q = feats[0]
             for i in range(1, m_len + 1):
                 r = self.relation_vecs[self.rel_index[schema.relations[i - 1]]]
                 q = ad.add(feats[i], ad.mul(q, r))
             h_inst = ad.mul(q, 1.0 / (m_len + 1))
 
-            h_v = ad.embedding(tables[node_type], type_local[gidx[with_idx]])
+            h_v = ad.embedding(tables[node_type], graph.type_index[gidx[with_idx]])
             a_full = ad.matmul(attr_embeddings, self.schema_ctx[schema.id])[with_idx]
             a1 = a_full[:, : self.d_prime]
             a2 = ad.reshape(a_full[:, self.d_prime :], (len(with_idx), 1, self.d_prime))
@@ -135,7 +140,7 @@ class MetapathEncoder:
         n = per_schema[0].shape[0]
         m = self.summary_m[node_type]
         b = self.summary_b[node_type]
-        summaries = [ad.tmean(ad.tanh(ad.add(ad.matmul(h, m), b)), axis=0) for h in per_schema]
+        summaries = [ad.tmean(ad.tanh(ad.affine(h, m, b)), axis=0) for h in per_schema]
         q = ad.matmul(attr_embeddings, self.side_ctx[node_type])  # (n, d_m)
         scores = ad.stack([ad.tsum(ad.mul(q, s), axis=1) for s in summaries], axis=1)
         beta = ad.softmax(scores, axis=1)
@@ -158,10 +163,8 @@ class LookupEncoder:
 
     def encode(self, graph: HeteroGraph, node_ids: list[str], k: int = 0, seed: int = 0,
                attr_embeddings: Tensor | None = None, return_weights: bool = False):
-        gidx = [graph.global_index(v) for v in node_ids]
-        node_type = graph.node_type[gidx[0]]
-        local = np.array([graph.type_index[g] for g in gidx])
-        out = ad.embedding(self.tables[node_type], local)
+        gidx, node_type = _batch_nodes(graph, node_ids)
+        out = ad.embedding(self.tables[node_type], graph.type_index[gidx])
         if return_weights:
             return out, {}
         return out

@@ -37,6 +37,24 @@ class TestElementwise:
         b = Parameter(rng.normal(size=(5, 2)))
         fd_check(lambda: ad.tsum(ad.matmul(a, b)), {"a": a, "b": b})
 
+    def test_affine_equals_add_of_matmul_bitwise(self, rng):
+        # the fused op must reproduce the two-node chain exactly, forward and
+        # every gradient, so swapping it in moves no model output
+        x, w, b = rng.normal(size=(7, 5)), rng.normal(size=(5, 3)), rng.normal(size=(3,))
+        g = rng.normal(size=(7, 3))
+        results = []
+        for op in (lambda x, w, b: ad.add(ad.matmul(x, w), b), ad.affine):
+            params = [Parameter(a.copy()) for a in (x, w, b)]
+            out = op(*params)
+            out.backward(g)
+            results.append([out.data] + [p.grad for p in params])
+        for chain, fused in zip(*results):
+            npt.assert_array_equal(fused, chain)
+        with no_grad():
+            npt.assert_array_equal(ad.affine(x, w, b).data, results[0][0])
+        with pytest.raises(ValueError):
+            ad.affine(Tensor(np.zeros((2, 2, 2))), Tensor(np.zeros((2, 2))), Tensor(np.zeros(2)))
+
     def test_matmul_requires_2d(self):
         with pytest.raises(ValueError):
             ad.matmul(Tensor(np.zeros((2, 2, 2))), Tensor(np.zeros((2, 2))))

@@ -1,9 +1,12 @@
 import hashlib
 import json
+import warnings
 
 import numpy as np
+import numpy.testing as npt
 import pytest
 
+from lexcite.autodiff import Tensor, no_grad
 from lexcite.graph import (
     GraphError,
     HeteroGraph,
@@ -13,6 +16,7 @@ from lexcite.graph import (
     build_citation_graph,
     default_schemas,
 )
+from lexcite.structural import MetapathEncoder
 
 from conftest import make_fact, make_hierarchy
 from oracles import conforms, enumerate_instances, has_edge, typed_walk_counts
@@ -259,42 +263,131 @@ class TestSampling:
         with pytest.raises(ValueError):
             g.sample_instances("S1", schema_by_id("S-ctb-F-ct-S"), k=0, seed=0)
 
+    def test_walks_ignore_batch_mates(self):
+        # a node's walks are keyed on (seed, node, schema, walk, step) only;
+        # "error" turns a uint64 overflow warning of scalar hashing into a failure
+        g = random_graph(np.random.default_rng(13))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for schema in default_schemas():
+                gidx = np.array([g.global_index(v) for v in g.type_ids(schema.node_types[0])])
+                alone = [_fresh_walks(g, gidx[i:i + 1], schema, 6, 7) for i in range(len(gidx))]
+                has, batch = _fresh_walks(g, gidx, schema, 6, 7)
+                npt.assert_array_equal(has, [a[0][0] for a in alone])
+                npt.assert_array_equal(batch.reshape(-1), np.concatenate(
+                    [w.reshape(-1) for _, w in alone]))
+                perm = np.random.default_rng(0).permutation(len(gidx))
+                p_has, p_batch = _fresh_walks(g, gidx[perm], schema, 6, 7)
+                npt.assert_array_equal(p_has, has[perm])
+                rows = np.cumsum(has) - 1  # each node's row among those with walks
+                npt.assert_array_equal(p_batch, batch[rows[perm][has[perm]]])
+
+    def test_another_seed_draws_other_walks(self):
+        g = random_graph(np.random.default_rng(13))
+        schema = schema_by_id("F-ct-S-po-T-po-C-po-A-inc-C-inc-T-inc-S-ctb-F")
+        gidx = np.array([g.global_index(v) for v in g.type_ids("F")])
+        _, a = _fresh_walks(g, gidx, schema, 8, 1)
+        _, b = _fresh_walks(g, gidx, schema, 8, 2)
+        assert a.shape == b.shape and (a != b).any()
+
+    def test_each_viable_neighbour_is_equally_likely(self):
+        # the multiply-shift map of 32 random bits onto cnt candidates: over
+        # n walks each of 7 citing facts must come up about n/7 times
+        h = make_hierarchy({"T1": ["S1"]})
+        facts = [make_fact(f"F{i}", {"S1"}) for i in range(7)]
+        g = build_citation_graph(facts, h)
+        n, p = 70_000, 1 / 7
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, walks = _fresh_walks(g, np.array([g.global_index("S1")]),
+                                    schema_by_id("S-ctb-F-ct-S"), n, 3)
+        counts = np.bincount(walks[0, :, 1], minlength=g.n_nodes())[
+            [g.global_index(f.id) for f in facts]]
+        half_width = 5 * np.sqrt(n * p * (1 - p))  # 5 sigma of the binomial
+        assert counts.sum() == n
+        assert np.all(np.abs(counts - n * p) <= half_width), counts
+
+
+def _fresh_walks(graph, gidx, schema, k, seed):
+    """Walks drawn with the memo emptied first, so every call really draws."""
+    graph._walk_cache_seed = None
+    return graph._sample_walks_idx(gidx, schema, k, seed)
+
+
+class TestWalkMemo:
+    def test_repeated_section_call_adds_no_entry(self, rng):
+        g = paper_figure_graph()
+        enc = MetapathEncoder(rng, g, default_schemas(), d_node=3, d_prime=3, d_m=3)
+        sections = g.type_ids("S")
+        attr = Tensor(rng.normal(size=(len(sections), 3)))
+        with no_grad():
+            first = enc.encode(g, sections, k=4, seed=5, attr_embeddings=attr).data
+            size = len(g._walk_cache)
+            again = enc.encode(g, sections, k=4, seed=5, attr_embeddings=attr).data
+        assert size == 4  # one entry per section-side schema
+        assert len(g._walk_cache) == size
+        npt.assert_array_equal(first, again)
+
+    def test_seed_change_empties_the_memo(self):
+        g = paper_figure_graph()
+        gidx = np.array([g.global_index(v) for v in g.type_ids("S")])
+        for schema in default_schemas()[:2]:
+            g._sample_walks_idx(gidx, schema, 4, 1)
+        assert len(g._walk_cache) == 2
+        g._sample_walks_idx(gidx, default_schemas()[0], 4, 2)
+        assert len(g._walk_cache) == 1
+
+    def test_hit_records_the_nodes_of_the_miss(self):
+        g = paper_figure_graph()
+        gidx = np.array([g.global_index(v) for v in g.type_ids("S")])
+        schema = schema_by_id("S-po-T-po-C-inc-T-inc-S")
+        recorded = []
+        for _ in range(2):  # a miss, then a hit
+            g.recorder = []
+            has, walks = g._sample_walks_idx(gidx, schema, 3, 0)
+            recorded.append(g.recorder)
+        g.recorder = None
+        assert len(g._walk_cache) == 1
+        assert recorded[0] == recorded[1]
+        expected = {g.node_ids[i] for i in gidx} | {g.node_ids[i] for i in walks.ravel()}
+        assert set(recorded[0]) == expected
+
 
 # The exact walks the sampler draws on random_graph(default_rng(13)) with k=4.
-# Any change to the candidate order or to the RNG calls changes them, and with
+# Any change to the candidate order or to the walk keys changes them, and with
 # them every trained model. Node S4 is the first section and F0 the first
 # fact; the digest covers every start node of every schema.
 PINNED_WALKS = {
-    (1, "S-ctb-F-ct-S"): ["S4 F2 S4", "S5 F2 S4", "S0 F0 S4", "S0 F1 S4"],
-    (1, "S-po-T-inc-S"): ["S5 T2 S4", "S4 T2 S4", "S4 T2 S4", "S5 T2 S4"],
+    (1, "S-ctb-F-ct-S"): ["S5 F2 S4", "S4 F2 S4", "S5 F2 S4", "S3 F1 S4"],
+    (1, "S-po-T-inc-S"): ["S5 T2 S4", "S5 T2 S4", "S5 T2 S4", "S5 T2 S4"],
     (1, "S-po-T-po-C-inc-T-inc-S"): ["S4 T2 C0 T2 S4", "S5 T2 C0 T2 S4", "S4 T2 C0 T2 S4",
                                      "S4 T2 C0 T2 S4"],
-    (1, "S-po-T-po-C-po-A-inc-C-inc-T-inc-S"): ["S5 T2 C0 A C0 T2 S4", "S5 T2 C0 A C0 T2 S4",
-                                                "S5 T2 C0 A C0 T2 S4", "S3 T1 C1 A C0 T2 S4"],
-    (1, "F-ct-S-ctb-F"): ["F3 S5 F0", "F1 S3 F0", "F4 S5 F0", "F4 S0 F0"],
-    (1, "F-ct-S-po-T-inc-S-ctb-F"): ["F2 S5 T2 S5 F0", "F4 S3 T1 S3 F0", "F3 S4 T2 S5 F0",
-                                     "F3 S4 T2 S4 F0"],
-    (1, "F-ct-S-po-T-po-C-inc-T-inc-S-ctb-F"): ["F4 S3 T1 C1 T0 S0 F0", "F0 S3 T1 C1 T1 S3 F0",
-                                                "F0 S4 T2 C0 T2 S4 F0", "F0 S0 T0 C1 T1 S3 F0"],
+    (1, "S-po-T-po-C-po-A-inc-C-inc-T-inc-S"): ["S4 T2 C0 A C0 T2 S4", "S4 T2 C0 A C0 T2 S4",
+                                                "S4 T2 C0 A C0 T2 S4", "S4 T2 C0 A C0 T2 S4"],
+    (1, "F-ct-S-ctb-F"): ["F1 S4 F0", "F0 S0 F0", "F0 S4 F0", "F4 S3 F0"],
+    (1, "F-ct-S-po-T-inc-S-ctb-F"): ["F5 S1 T0 S0 F0", "F5 S5 T2 S4 F0", "F4 S1 T0 S0 F0",
+                                     "F0 S3 T1 S3 F0"],
+    (1, "F-ct-S-po-T-po-C-inc-T-inc-S-ctb-F"): ["F5 S1 T0 C1 T0 S0 F0", "F3 S1 T0 C1 T0 S0 F0",
+                                                "F0 S3 T1 C1 T0 S0 F0", "F0 S5 T2 C0 T2 S5 F0"],
     (1, "F-ct-S-po-T-po-C-po-A-inc-C-inc-T-inc-S-ctb-F"): [
-        "F4 S3 T1 C1 A C0 T2 S4 F0", "F1 S3 T1 C1 A C0 T2 S4 F0", "F2 S4 T2 C0 A C1 T1 S3 F0",
-        "F2 S5 T2 C0 A C1 T0 S0 F0"],
-    (2, "S-ctb-F-ct-S"): ["S0 F0 S4", "S5 F2 S4", "S5 F3 S4", "S4 F3 S4"],
-    (2, "S-po-T-inc-S"): ["S5 T2 S4", "S4 T2 S4", "S5 T2 S4", "S5 T2 S4"],
-    (2, "S-po-T-po-C-inc-T-inc-S"): ["S5 T2 C0 T2 S4", "S5 T2 C0 T2 S4", "S4 T2 C0 T2 S4",
+        "F0 S5 T2 C0 A C0 T2 S5 F0", "F1 S4 T2 C0 A C1 T1 S3 F0", "F0 S4 T2 C0 A C0 T2 S4 F0",
+        "F4 S1 T0 C1 A C1 T0 S0 F0"],
+    (2, "S-ctb-F-ct-S"): ["S3 F1 S4", "S5 F2 S4", "S5 F3 S4", "S0 F0 S4"],
+    (2, "S-po-T-inc-S"): ["S5 T2 S4", "S5 T2 S4", "S5 T2 S4", "S5 T2 S4"],
+    (2, "S-po-T-po-C-inc-T-inc-S"): ["S4 T2 C0 T2 S4", "S5 T2 C0 T2 S4", "S5 T2 C0 T2 S4",
                                      "S5 T2 C0 T2 S4"],
-    (2, "S-po-T-po-C-po-A-inc-C-inc-T-inc-S"): ["S4 T2 C0 A C0 T2 S4", "S0 T0 C1 A C0 T2 S4",
-                                                "S1 T0 C1 A C0 T2 S4", "S2 T1 C1 A C0 T2 S4"],
-    (2, "F-ct-S-ctb-F"): ["F4 S0 F0", "F4 S0 F0", "F1 S3 F0", "F2 S4 F0"],
-    (2, "F-ct-S-po-T-inc-S-ctb-F"): ["F0 S0 T0 S0 F0", "F5 S5 T2 S4 F0", "F4 S0 T0 S0 F0",
-                                     "F0 S4 T2 S4 F0"],
-    (2, "F-ct-S-po-T-po-C-inc-T-inc-S-ctb-F"): ["F1 S5 T2 C0 T2 S4 F0", "F2 S5 T2 C0 T2 S4 F0",
-                                                "F0 S4 T2 C0 T2 S4 F0", "F3 S4 T2 C0 T2 S5 F0"],
+    (2, "S-po-T-po-C-po-A-inc-C-inc-T-inc-S"): ["S5 T2 C0 A C0 T2 S4", "S4 T2 C0 A C0 T2 S4",
+                                                "S1 T0 C1 A C0 T2 S4", "S0 T0 C1 A C0 T2 S4"],
+    (2, "F-ct-S-ctb-F"): ["F0 S5 F0", "F0 S3 F0", "F1 S3 F0", "F4 S3 F0"],
+    (2, "F-ct-S-po-T-inc-S-ctb-F"): ["F5 S1 T0 S0 F0", "F3 S4 T2 S5 F0", "F4 S0 T0 S0 F0",
+                                     "F1 S5 T2 S4 F0"],
+    (2, "F-ct-S-po-T-po-C-inc-T-inc-S-ctb-F"): ["F4 S3 T1 C1 T1 S3 F0", "F4 S5 T2 C0 T2 S5 F0",
+                                                "F3 S5 T2 C0 T2 S4 F0", "F5 S5 T2 C0 T2 S5 F0"],
     (2, "F-ct-S-po-T-po-C-po-A-inc-C-inc-T-inc-S-ctb-F"): [
-        "F3 S5 T2 C0 A C1 T1 S3 F0", "F3 S4 T2 C0 A C0 T2 S4 F0", "F0 S5 T2 C0 A C1 T1 S3 F0",
-        "F3 S5 T2 C0 A C0 T2 S4 F0"],
+        "F0 S3 T1 C1 A C0 T2 S4 F0", "F4 S5 T2 C0 A C1 T0 S0 F0", "F0 S4 T2 C0 A C1 T0 S0 F0",
+        "F0 S4 T2 C0 A C1 T1 S3 F0"],
 }
-PINNED_WALK_DIGEST = "ffc5d39c0223561012b80ec4d22e7b4b3cf9d3e84cc0a42ccf4a0468b4876708"
+PINNED_WALK_DIGEST = "aaa52c5977d06c00d63f25ba762a10d58efdc358f0cab79441e482571d696315"
 # sha256 of json.dumps(to_json()): the bytes build-graph writes
 PINNED_GRAPH_JSON = {
     "paper_figure": "9ed073434564f280e9f98c26f0b0d2a686f523bb7dd0c7f105659704892afd64",

@@ -58,19 +58,22 @@ def test_word_level_runs_only_real_tokens(rng, monkeypatch):
     word_weights = {id(enc.word_att_m), id(enc.word_rnn.params["han.word_rnn.fw.W"]),
                     id(enc.word_rnn.params["han.word_rnn.bw.W"])}
     rows = {"embedding": [], "word": []}
-    embedding, matmul = ad.embedding, ad.matmul
+    embedding = ad.embedding
 
     def spy_embedding(table, idx):
         rows["embedding"].append(np.size(idx))
         return embedding(table, idx)
 
-    def spy_matmul(a, b):
-        if id(b) in word_weights:
-            rows["word"].append(a.shape[0])
-        return matmul(a, b)
+    def spy(op):
+        def wrapper(a, b, *rest):
+            if id(b) in word_weights:
+                rows["word"].append(a.shape[0])
+            return op(a, b, *rest)
+        return wrapper
 
     monkeypatch.setattr(ad, "embedding", spy_embedding)
-    monkeypatch.setattr(ad, "matmul", spy_matmul)
+    for name in ("matmul", "affine"):  # a projection with a bias is one affine op
+        monkeypatch.setattr(ad, name, spy(getattr(ad, name)))
     enc(grids, masks)
     assert masks.sum() == 11 < masks.size
     assert rows == {"embedding": [11], "word": [11, 11, 11]}

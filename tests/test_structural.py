@@ -368,6 +368,17 @@ class TestLookupEncoder:
         with pytest.raises(UnknownNodeError):
             enc.encode(g, ["F_nope"])
 
+    @pytest.mark.parametrize("encoder", ["metapath", "lookup"])
+    def test_mixed_or_empty_batch_rejected(self, rng, encoder):
+        # a mixed batch would look an F node up by its type-local index in
+        # the S table; both encoders refuse it and an empty batch alike
+        g = paper_figure_graph()
+        enc = make_encoder(rng, g) if encoder == "metapath" else LookupEncoder(rng, g, d_prime=4)
+        with pytest.raises(ValueError, match="single type"), no_grad():
+            enc.encode(g, ["S1", "F1"], k=2, seed=0, attr_embeddings=attr_rows(rng, 2))
+        with pytest.raises(ValueError, match="empty node batch"), no_grad():
+            enc.encode(g, [], k=2, seed=0, attr_embeddings=attr_rows(rng, 0))
+
     def test_gradient_touches_only_queried_rows(self, rng):
         g = paper_figure_graph()
         enc = LookupEncoder(rng, g, d_prime=4)
