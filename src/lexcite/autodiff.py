@@ -5,13 +5,24 @@ only its forward value and, for each input, a vector-Jacobian product (VJP)
 that maps the output's gradient to that input's share; :func:`_tracked` is
 the one constructor of such recorded nodes. There is one accumulation rule,
 and :meth:`Tensor.backward` alone applies it: it skips inputs that need no
-gradient, takes a private copy of an input's first whole share as its
-gradient buffer and adds later shares to it (``+=``); a share that lands at
-the node's index (``getitem``, ``embedding``) goes into a zero buffer with
-``np.add.at``. So shares through a repeated index or a reused input all add
-up. All data is float64; gradient checks against central finite differences
-are part of the test suite, so the engine is deliberately free of any
-reduced-precision shortcuts.
+gradient, makes an input's first whole share its gradient buffer and adds
+later shares to it (``+=``); a share that lands at the node's index
+(``getitem``, ``embedding``) goes into a zero buffer with ``np.add.at``. So
+shares through a repeated index or a reused input all add up. A first share
+the VJP made fresh (a writeable float64 array of the input's shape that owns
+its data) is adopted as the buffer; the node's own gradient, a view or a
+broadcast is copied, so that no later ``+=`` writes through it. All data is
+float64; gradient checks against central finite differences are part of the
+test suite, so the engine is deliberately free of any reduced-precision
+shortcuts.
+
+Backward consumes the graph it walks: each node leaves the topological list
+as it is run, and an interior node then drops its inputs and VJPs, and with
+them the forward arrays the VJPs captured. A node nobody holds is freed,
+gradient and all; one the caller holds keeps its ``data`` and ``grad``. A
+consumed node's ``_parents`` is ``None`` (a leaf's is ``()``), and a
+``backward()`` that reaches it raises ``RuntimeError`` rather than leave the
+parameters' gradients silently stale.
 
 Ops test whether anything is recording before they build a VJP: when no
 input requires a gradient, or inside :func:`no_grad`, they return a plain
@@ -79,47 +90,80 @@ class Tensor:
         return transpose(self, axes if axes else None)
 
     def backward(self, grad=None):
+        """Accumulate the gradient of this node into every tensor it depends
+        on, consuming the graph: each interior node's inputs and VJPs are
+        dropped once its VJPs have run. A node the caller still holds keeps
+        its `data` and `grad`; a later backward() that reaches a consumed
+        node raises RuntimeError."""
         if grad is None:
             if self.data.size != 1:
                 raise ValueError("backward() without gradient requires a scalar output")
             grad = np.ones_like(self.data)
+
+        topo = _topological(self)
         self.grad = np.asarray(grad, dtype=np.float64)
+        while topo:  # the root first; a node leaves the list as it is run
+            _run_vjps(topo.pop())
 
-        # Iterative topological sort (graphs can be deep: long recurrences).
-        topo = []
-        visited = set()
-        stack = [(self, False)]
-        while stack:
-            node, processed = stack.pop()
-            if processed:
-                topo.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for x in node._parents[::2]:  # the inputs, without their VJPs
-                if x.requires_grad and id(x) not in visited:
-                    stack.append((x, False))
 
-        for node in reversed(topo):
-            g = node.grad
-            pairs = iter(node._parents)
-            for x, vjp in zip(pairs, pairs):
-                if not x.requires_grad:
-                    continue
-                share = vjp(g)
-                if node._index is not None:
-                    if x.grad is None:
-                        x.grad = np.zeros_like(x.data)
-                    np.add.at(x.grad, node._index, share)
-                elif x.grad is None:
-                    # a private copy: a share may be a view or broadcast of
-                    # another node's gradient, which must not be written through
-                    x.grad = np.empty_like(x.data)
-                    x.grad[...] = share
-                else:
-                    x.grad += share
+def _topological(root) -> list:
+    """The nodes `root` depends on through inputs that need a gradient, each
+    after all of its inputs, `root` last. Iterative: graphs can be deep."""
+    topo = []
+    visited = set()
+    stack = [(root, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            topo.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        if node._parents is None:
+            raise RuntimeError("backward() reached a node whose graph an earlier backward() "
+                               "consumed; run the forward pass again to build a new graph")
+        visited.add(id(node))
+        stack.append((node, True))
+        for x in node._parents[::2]:  # the inputs, without their VJPs
+            if x.requires_grad and id(x) not in visited:
+                stack.append((x, False))
+    return topo
+
+
+def _adoptable(share, g, like) -> bool:
+    """Whether a first share can become the input's gradient buffer as it
+    is: a fresh float64 array of the input's shape that owns its data and is
+    writeable. The node's own gradient `g`, views and broadcasts are not:
+    later shares are added into the buffer in place."""
+    return (share is not g and isinstance(share, np.ndarray) and share.flags.owndata
+            and share.flags.writeable and share.shape == like.shape
+            and share.dtype == np.float64)
+
+
+def _run_vjps(node):
+    """Add each share of `node`'s gradient to its input's gradient, then
+    consume the node: an interior node drops its inputs and VJPs, and with
+    them the forward arrays they captured. A leaf keeps its ``()``."""
+    g, parents, index = node.grad, node._parents, node._index
+    if parents:
+        node._parents = None
+    pairs = iter(parents)
+    for x, vjp in zip(pairs, pairs):
+        if not x.requires_grad:
+            continue
+        share = vjp(g)
+        if index is not None:
+            if x.grad is None:
+                x.grad = np.zeros_like(x.data)
+            np.add.at(x.grad, index, share)
+        elif x.grad is None:
+            if _adoptable(share, g, x.data):
+                x.grad = share
+            else:
+                x.grad = np.empty_like(x.data)
+                x.grad[...] = share
+        else:
+            x.grad += share
 
 
 class Parameter(Tensor):

@@ -254,7 +254,10 @@ class HeteroGraph:
 
         Results are memoized per seed on the schema, k and the node array:
         sections are re-walked with the same seed in every batch of an epoch
-        and at every inference. Both arrays are read-only.
+        and at every inference. The memo keeps one entry per (schema, k), so
+        a training batch's fact walks, which are never asked for again, are
+        replaced by the next batch's: a miss evicts the pair's older entry.
+        Both arrays are read-only.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -277,7 +280,11 @@ class HeteroGraph:
             out = has, walks[:, :, ::-1].copy()
             for a in out:
                 a.flags.writeable = False
-            self._walk_cache[key] = out
+            # a new dict, never an in-place eviction: the benchmark's hit
+            # counter (perfbench/spans.py) tells a miss by a new or grown memo
+            memo = {old: v for old, v in self._walk_cache.items() if old[:2] != key[:2]}
+            memo[key] = out
+            self._walk_cache = memo
         if self.recorder is not None:
             # every node a walk passes through counts as a structure query
             self.recorder.extend(self.node_ids[g] for g in gidx.tolist())

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -226,3 +228,138 @@ class TestEngine:
         assert calls == []
         ops(x)
         assert len(calls) == 5
+
+
+def _live_tensors():
+    return sum(isinstance(o, Tensor) for o in gc.get_objects())
+
+
+def _check_held_nodes(build, params, expected):
+    """Run backward once on build()'s loss, holding the nodes build() names.
+    Each parameter's gradient must match finite differences and each held
+    node's its expected gradient, and no held node's forward value may
+    move."""
+    for p in params.values():
+        p.grad = None
+    loss, held = build()
+    before = {name: node.data.copy() for name, node in held.items()}
+    loss.backward()
+    numeric = fd_gradients(lambda: _eval(lambda: build()[0]), params)
+    for name, p in params.items():
+        assert max_rel_error(p.grad.reshape(-1), numeric[name]) <= 1e-4, name
+    for name, node in held.items():
+        npt.assert_array_equal(node.data, before[name], err_msg=name)
+        npt.assert_allclose(node.grad, expected[name], rtol=1e-6, atol=1e-9, err_msg=name)
+
+
+def _scan_inputs(rng):
+    """A packed batch of three sequences of lengths 3, 2 and 1 (hidden 2)."""
+    sizes = np.array([3, 2, 1])
+    return (sizes, Tensor(rng.normal(size=(6, 3))),
+            {"w": Parameter(rng.normal(size=(3, 6)) * 0.5), "b": Parameter(rng.normal(size=6)),
+             "u_zr": Parameter(rng.normal(size=(2, 4)) * 0.5),
+             "u_n": Parameter(rng.normal(size=(2, 2)) * 0.5)})
+
+
+class TestConsumedGraph:
+    def test_backward_frees_the_tape(self, rng):
+        sizes, inputs, params = _scan_inputs(rng)
+        v = rng.normal(size=(6, 2))
+
+        def forward():  # holds nothing but the root and the scan's output
+            pre = ad.affine(inputs, params["w"], params["b"])
+            states = ad.gru_scan(pre, sizes, params["u_zr"], params["u_n"])
+            return ad.tsum(ad.mul(ad.tanh(states), v)), states
+
+        gc.collect()
+        baseline = _live_tensors()
+        loss, states = forward()
+        assert _live_tensors() > baseline + 2
+        loss.backward()
+        assert _live_tensors() == baseline + 2
+        # the held interior node keeps its value and its gradient
+        with no_grad():
+            _, again = forward()
+        npt.assert_array_equal(states.data, again.data)
+        npt.assert_allclose(states.grad, v * (1.0 - np.tanh(states.data) ** 2), rtol=1e-12)
+        assert states._parents is None and params["w"]._parents == ()
+
+    def test_a_second_backward_through_a_consumed_node_raises(self):
+        x = Parameter(np.array([1.0, 2.0]))
+        y = ad.mul(x, 3.0)
+        loss = ad.tsum(y)
+        loss.backward()
+        first = x.grad.copy()
+        with pytest.raises(RuntimeError, match="consumed"):
+            loss.backward()
+        with pytest.raises(RuntimeError, match="consumed"):
+            ad.tsum(ad.mul(y, 2.0)).backward()
+        npt.assert_array_equal(x.grad, first)  # nothing was propagated
+        # a consumed node's value is still usable, and a leaf starts new graphs
+        with no_grad():
+            npt.assert_array_equal(ad.mul(y, 2.0).data, [6.0, 12.0])
+        ad.tsum(ad.mul(x, 2.0)).backward()
+        npt.assert_array_equal(x.grad, first + 2.0)
+
+
+class TestShareAdoption:
+    """A first share becomes the input's gradient buffer only when the VJP
+    made it fresh; later shares are added into that buffer in place, so it
+    must not be the node's own gradient, a view or a forward array. The
+    reshape view is TestEngine.test_first_share_through_a_view_is_copied."""
+
+    def test_sum_over_all_axes_passes_its_own_gradient(self):
+        # tsum's VJP returns g itself; y's later share must not land in s.grad
+        x = Parameter(np.array(1.5))
+
+        def build():
+            y = ad.mul(x, x)
+            s = ad.tsum(y)
+            return ad.add(s, ad.mul(y, 5.0)), {"s": s, "y": y}
+
+        _check_held_nodes(build, {"x": x}, {"s": 1.0, "y": 6.0})
+
+    def test_unbroadcast_identity_passes_its_own_gradient(self, rng):
+        x = Parameter(rng.normal(size=3))
+        w, v, c = rng.normal(size=3), rng.normal(size=3), rng.normal(size=3)
+
+        def build():
+            y = ad.mul(x, 2.0)
+            z = ad.add(y, c)
+            loss = ad.add(ad.tsum(ad.mul(z, w)), ad.tsum(ad.mul(y, v)))
+            return loss, {"z": z, "y": y}
+
+        _check_held_nodes(build, {"x": x}, {"z": w, "y": w + v})
+
+    def test_scan_input_that_feeds_a_second_op(self, rng):
+        # the scan's fresh dpre is adopted as pre's buffer, and the second
+        # op's share is then added into it
+        sizes, inputs, params = _scan_inputs(rng)
+        w1, w2 = rng.normal(size=(6, 2)), rng.normal(size=(6, 6))
+
+        def from_pre(pre):
+            states = ad.gru_scan(pre, sizes, params["u_zr"], params["u_n"])
+            return ad.add(ad.tsum(ad.mul(states, w1)), ad.tsum(ad.mul(pre, w2))), states
+
+        def build():
+            pre = ad.affine(inputs, params["w"], params["b"])
+            loss, states = from_pre(pre)
+            return loss, {"pre": pre, "states": states}
+
+        with no_grad():
+            leaf = Parameter(build()[1]["pre"].data)
+        dpre = fd_gradients(lambda: _eval(lambda: from_pre(leaf)[0]), {"pre": leaf})["pre"]
+        _check_held_nodes(build, params, {"pre": np.reshape(dpre, leaf.shape), "states": w1})
+
+    def test_only_a_fresh_whole_share_becomes_the_buffer(self):
+        base = np.arange(6.0)
+        frozen = np.arange(3.0)
+        frozen.flags.writeable = False
+        shares = {"fresh": (np.arange(3.0), True), "view": (base[:3], False),
+                  "read-only": (frozen, False), "float32": (np.arange(3.0, dtype=np.float32), False),
+                  "broadcast": (np.array(2.0), False)}
+        for name, (share, adopted) in shares.items():
+            x = Parameter(np.ones(3))
+            ad._tracked(np.zeros(3), x, lambda g, share=share: share).backward(np.ones(3))
+            assert (x.grad is share) == adopted, name
+            npt.assert_array_equal(x.grad, np.broadcast_to(share, (3,)), err_msg=name)

@@ -337,6 +337,22 @@ class TestWalkMemo:
         g._sample_walks_idx(gidx, default_schemas()[0], 4, 2)
         assert len(g._walk_cache) == 1
 
+    def test_a_miss_replaces_the_entry_of_its_schema_and_k(self):
+        g = paper_figure_graph()
+        sections = np.array([g.global_index(v) for v in g.type_ids("S")])
+        first, second = default_schemas()[:2]
+        g._sample_walks_idx(sections, first, 4, 1)
+        g._sample_walks_idx(sections, second, 4, 1)
+        memo = g._walk_cache
+        g._sample_walks_idx(sections[:1], first, 4, 1)
+        # a miss builds a new memo, never evicts in place: the benchmark's
+        # hit counter tells a miss by a new or grown memo
+        assert g._walk_cache is not memo and len(memo) == 2
+        assert sorted(key[:2] for key in g._walk_cache) == sorted(
+            [(first.id, 4), (second.id, 4)])
+        g._sample_walks_idx(sections[:1], first, 3, 1)  # another k keeps its own entry
+        assert len(g._walk_cache) == 3
+
     def test_hit_records_the_nodes_of_the_miss(self):
         g = paper_figure_graph()
         gidx = np.array([g.global_index(v) for v in g.type_ids("S")])

@@ -1,4 +1,6 @@
 
+import gc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -282,6 +284,44 @@ class TestTrainLoop:
         assert len(sizes) == config.epochs * (n_batches + len(val))
         assert max(sizes) <= config.batch_size
         assert sum(sizes) == config.epochs * (len(train) + len(val))
+
+    def test_no_tape_of_a_batch_outlives_its_backward(self, tmp_path, monkeypatch):
+        # backward consumes the graph, so the next batch's forward starts with
+        # no recorded node of the last batch alive, though train_model still
+        # holds that batch's loss
+        model, graph, train, val, _, hierarchy, vocab, config = tiny_setup(tmp_path, epochs=1)
+        assert -(-len(train) // config.batch_size) == 2
+        live = []
+        forward = Model.forward
+
+        def spy(self, *args, **kwargs):
+            gc.collect()
+            live.append(sum(isinstance(o, Tensor) and bool(o._parents)
+                            for o in gc.get_objects()))
+            return forward(self, *args, **kwargs)
+
+        monkeypatch.setattr(Model, "forward", spy)
+        train_model(model, train, val)
+        assert len(live) == 2
+        assert live[1] == live[0]
+
+    def test_walk_memo_keeps_one_entry_per_schema_and_k(self, tmp_path, monkeypatch):
+        # each batch walks new facts; the memo must not keep the earlier ones
+        model, graph, train, val, _, hierarchy, vocab, config = tiny_setup(tmp_path, epochs=2)
+        assert len(train) > config.batch_size
+        memos = []
+        validate = training.predict_corpus
+
+        def spy(*args, **kwargs):  # at the end of each epoch's batches
+            memos.append([key[:2] for key in graph._walk_cache])
+            return validate(*args, **kwargs)
+
+        monkeypatch.setattr(training, "predict_corpus", spy)
+        train_model(model, train, val)
+        assert len(memos) == config.epochs
+        for pairs in memos:
+            assert any(schema.startswith("F") for schema, _ in pairs)
+            assert len(pairs) == len(set(pairs)), pairs
 
     def test_nan_attention_context_diverges_at_the_first_batch(self, tmp_path):
         # a NaN score must reach the loss, not vanish into all-zero weights
