@@ -44,7 +44,7 @@ result = train_model(model, train, val,
                                               f"val macro-F1 {r['val_macro_f1']:6.2f}"))
 print(f"best epoch {result.best_epoch} (val macro-F1 {result.best_val_f1:.2f})\n")
 
-tau = tune_threshold(model, val)
+tau = tune_threshold(result.best_val_scores, [d.labels for d in val], hierarchy.section_ids)
 print(f"threshold tuned on validation: {tau}")
 
 preds, scores = predict_corpus(model, test, tau=tau)

@@ -6,14 +6,17 @@ that maps the output's gradient to that input's share; :func:`_tracked` is
 the one constructor of such recorded nodes. There is one accumulation rule,
 and :meth:`Tensor.backward` alone applies it: it skips inputs that need no
 gradient, makes an input's first whole share its gradient buffer and adds
-later shares to it (``+=``); a share that lands at the node's index
-(``getitem``, ``embedding``) goes into a zero buffer with ``np.add.at``. So
-shares through a repeated index or a reused input all add up. A first share
-the VJP made fresh (a writeable float64 array of the input's shape that owns
-its data) is adopted as the buffer; the node's own gradient, a view or a
-broadcast is copied, so that no later ``+=`` writes through it. All data is
-float64; gradient checks against central finite differences are part of the
-test suite, so the engine is deliberately free of any reduced-precision
+later shares to it (``+=``). A share that lands at the node's index
+(``getitem``, ``embedding``) goes into a zero buffer as ``np.add.at`` would
+add it, and bitwise so: a basic index (ints, slices) adds in place, a 1-D
+integer row index goes in as one ``np.add.at`` over the flattened buffer,
+and any other index through ``np.add.at`` itself. So shares through a
+repeated index or a reused input all add up. A first share the VJP made
+fresh (a writeable float64 array of the input's shape that owns its data) is
+adopted as the buffer; the node's own gradient, a view or a broadcast is
+copied, so that no later ``+=`` writes through it. All data is float64;
+gradient checks against central finite differences are part of the test
+suite, so the engine is deliberately free of any reduced-precision
 shortcuts.
 
 Backward consumes the graph it walks: each node leaves the topological list
@@ -29,10 +32,11 @@ input requires a gradient, or inside :func:`no_grad`, they return a plain
 value and create no closure, which matters because finite-difference checks
 re-run forward passes thousands of times.
 
-The recurrences are whole-op nodes: :func:`gru_scan` and :func:`lstm_scan`
-run one direction's time loop in numpy and record a single node for all of
-its steps, so the tape does not grow with sequence length. Their VJPs share
-one backprop-through-time pass, run on the first VJP call for a given output
+The recurrences are whole-op nodes: :func:`gru_scan` runs one direction of
+a GRU, and :func:`bilstm_scan` both directions of an LSTM in the same time
+loop, in numpy, and each records a single node for all of its steps, so the
+tape does not grow with sequence length. Their VJPs share one
+backprop-through-time pass, run on the first VJP call for a given output
 gradient; the parameters' gradients then come from one GEMM over the stacked
 states, not one per step. :func:`gru_scan` runs on a packed batch: only each
 sequence's real steps, time-major, longest sequence first, as
@@ -42,6 +46,7 @@ sequence's real steps, time-major, longest sequence first, as
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -154,8 +159,8 @@ def _run_vjps(node):
         share = vjp(g)
         if index is not None:
             if x.grad is None:
-                x.grad = np.zeros_like(x.data)
-            np.add.at(x.grad, index, share)
+                x.grad = np.zeros(x.data.shape)
+            _scatter_add(x.grad, index, share)
         elif x.grad is None:
             if _adoptable(share, g, x.data):
                 x.grad = share
@@ -164,6 +169,33 @@ def _run_vjps(node):
                 x.grad[...] = share
         else:
             x.grad += share
+
+
+def _is_basic(key) -> bool:
+    """Whether `key` is a basic index (ints, slices, ``...``, ``None``, or a
+    tuple of them), which selects each element at most once."""
+    parts = key if isinstance(key, tuple) else (key,)
+    return all(k is None or k is Ellipsis or isinstance(k, (int, np.integer, slice))
+               for k in parts)
+
+
+def _scatter_add(buf, key, share):
+    """``np.add.at(buf, key, share)``, the same sums in the same order. A
+    basic index adds in place. A 1-D integer row index into a C-contiguous
+    buffer goes in as one ``np.add.at`` over the flattened buffer: element
+    (k, c) of the share lands at ``key[k] * width + c``, so a negative row
+    still counts from the end and an out-of-range one still raises. Any
+    other key goes through ``np.add.at`` itself, and so does a buffer whose
+    flattening would be a copy, which would drop the sum."""
+    if _is_basic(key):
+        buf[key] += share
+    elif (isinstance(key, np.ndarray) and key.ndim == 1 and key.dtype.kind in "iu"
+          and buf.ndim > 1 and buf.flags.c_contiguous):
+        width = math.prod(buf.shape[1:])
+        flat = key.astype(np.intp, copy=False)[:, None] * width + np.arange(width)
+        np.add.at(buf.reshape(-1), flat.reshape(-1), share.reshape(-1))
+    else:
+        np.add.at(buf, key, share)
 
 
 class Parameter(Tensor):
@@ -466,17 +498,6 @@ def _shared_shares(bptt):
     return shares
 
 
-def _started_from(states, reverse):
-    """The state each step of a scan started from: the (N, T, h) states
-    moved one step along the processing order, with zeros at the first."""
-    prev = np.zeros_like(states)
-    if reverse:
-        prev[:, :-1] = states[:, 1:]
-    else:
-        prev[:, 1:] = states[:, :-1]
-    return prev
-
-
 def _step_rows(sizes):
     """Where each step's rows lie in a packed batch: (start, stop) pairs."""
     stops = np.cumsum(sizes)
@@ -594,61 +615,96 @@ def gru_scan(pre, sizes, u_zr, u_n, reverse=False):
                     u_n, lambda g: shares(g)[2])
 
 
-def lstm_scan(pre, u, reverse=False):
-    """One direction of an LSTM over the input projection `pre` (N, T, 4h),
-    whose last axis holds the input, forget, cell and output gate
-    pre-activations. Returns the (N, T, h) hidden states as a single node;
-    like :func:`gru_scan`, forward is per-step numpy and backward is one
-    BPTT loop shared by both VJPs.
+def bilstm_scan(pre_fw, pre_bw, u_fw, u_bw):
+    """Both directions of an LSTM in one time loop. `pre_fw` and `pre_bw`
+    (N, T, 4h) are the directions' input projections, whose last axis holds
+    the input, forget, cell and output gate pre-activations; `u_fw` and
+    `u_bw` (h, 4h) are their recurrent matrices. Returns the (N, T, 2h)
+    hidden states, the forward direction's then the backward one's, as a
+    single node.
+
+    Step j advances the forward direction at t = j and the backward one at
+    t = T - 1 - j. Each direction's recurrent product is its own (N, h) @
+    (h, 4h) GEMM, written into one (2, N, 4h) buffer, so it has the shape
+    and the bits of a one-direction loop; the gate, cell and state
+    arithmetic then runs once over both directions. Backward is one BPTT
+    loop, over the same steps in reverse, whose result serves all four
+    VJPs.
     """
-    pre, u = _as_tensor(pre), _as_tensor(u)
-    n, t_len, h4 = pre.data.shape
+    inputs = [_as_tensor(a) for a in (pre_fw, pre_bw, u_fw, u_bw)]
+    pres, us = (inputs[0].data, inputs[1].data), (inputs[2].data, inputs[3].data)
+    n, t_len, h4 = pres[0].shape
     h = h4 // 4
-    ud = u.data
-    record = _grad_enabled and (pre.requires_grad or u.requires_grad)
-    order = range(t_len - 1, -1, -1) if reverse else range(t_len)
-    data = np.empty((n, t_len, h))
-    if record:  # per step: cell state, the four gate activations and tanh c
-        cells = np.empty((n, t_len, h))
-        acts = np.empty((n, t_len, h4))
-        tanh_cells = np.empty((n, t_len, h))
-    hs = np.zeros((n, h))
-    cs = np.zeros((n, h))
-    for t in order:
-        gates = pre.data[:, t, :] + hs @ ud
-        i = _sigmoid(gates[:, :h])
-        f = _sigmoid(gates[:, h : 2 * h])
-        g = np.tanh(gates[:, 2 * h : 3 * h])
-        o = _sigmoid(gates[:, 3 * h:])
-        cs = f * cs + i * g
-        tc = np.tanh(cs)
-        hs = o * tc
-        data[:, t] = hs
+    record = _grad_enabled and any(a.requires_grad for a in inputs)
+    data = np.empty((n, t_len, 2 * h))
+    # per step of both directions: the four gate activations and tanh of the
+    # cell state, and the cell state after a zero start; without gradients,
+    # one step's buffers, reused
+    acts = np.empty((t_len if record else 1, 2, n, h4))
+    tanh_cells = np.empty((t_len if record else 1, 2, n, h))
+    if record:
+        cells = np.zeros((t_len + 1, 2, n, h))
+    gates = np.empty((2, n, h4))
+    hs = np.zeros((2, n, h))
+    cs = np.zeros((2, n, h))
+    for j in range(t_len):
+        back = t_len - 1 - j
+        a, tc = (acts[j], tanh_cells[j]) if record else (acts[0], tanh_cells[0])
+        np.matmul(hs[0], us[0], out=gates[0])
+        np.matmul(hs[1], us[1], out=gates[1])
+        gates[0] += pres[0][:, j]
+        gates[1] += pres[1][:, back]
+        # the sigmoid of every gate, then tanh over the cell gate's columns
+        np.negative(gates, out=a)
+        np.exp(a, out=a)
+        a += 1.0
+        np.divide(1.0, a, out=a)
+        np.tanh(gates[..., 2 * h : 3 * h], out=a[..., 2 * h : 3 * h])
+        cs *= a[..., h : 2 * h]
+        cs += a[..., :h] * a[..., 2 * h : 3 * h]
+        np.tanh(cs, out=tc)
+        np.multiply(a[..., 3 * h:], tc, out=hs)
+        data[:, j, :h] = hs[0]
+        data[:, back, h:] = hs[1]
         if record:
-            cells[:, t], tanh_cells[:, t] = cs, tc
-            acts[:, t] = np.concatenate((i, f, g, o), axis=1)
+            cells[j + 1] = cs
     if not record:
         return _raw(data)
 
     def bptt(grad):
-        prev_h, prev_c = _started_from(data, reverse), _started_from(cells, reverse)
-        dpre = np.empty((n, t_len, h4))
-        dh_carry = np.zeros((n, h))
-        dc_carry = np.zeros((n, h))
-        for t in reversed(order):
-            act, tc = acts[:, t], tanh_cells[:, t]
-            i, f, g, o = act[:, :h], act[:, h : 2 * h], act[:, 2 * h : 3 * h], act[:, 3 * h:]
-            dh = grad[:, t] + dh_carry
+        # the output gradient, and below it the pre-activation gradient, in
+        # step order: entry j holds both directions' step j
+        dh_out = np.empty((t_len, 2, n, h))
+        dh_out[:, 0] = grad[:, :, :h].transpose(1, 0, 2)
+        dh_out[:, 1] = grad[:, ::-1, h:].transpose(1, 0, 2)
+        dpre = np.empty((t_len, 2, n, h4))
+        dh_carry = np.zeros((2, n, h))
+        dc_carry = np.zeros((2, n, h))
+        for j in range(t_len - 1, -1, -1):
+            a, tc, prev_c = acts[j], tanh_cells[j], cells[j]
+            i, f, g, o = a[..., :h], a[..., h : 2 * h], a[..., 2 * h : 3 * h], a[..., 3 * h:]
+            dh = dh_out[j]
+            dh += dh_carry
             dc = dc_carry + dh * o * (1.0 - tc * tc)
-            d = dpre[:, t]
-            d[:, :h] = dc * g * i * (1.0 - i)
-            d[:, h : 2 * h] = dc * prev_c[:, t] * f * (1.0 - f)
-            d[:, 2 * h : 3 * h] = dc * i * (1.0 - g * g)
-            d[:, 3 * h:] = dh * tc * o * (1.0 - o)
+            d = dpre[j]
+            d[..., :h] = dc * g * i * (1.0 - i)
+            d[..., h : 2 * h] = dc * prev_c * f * (1.0 - f)
+            d[..., 2 * h : 3 * h] = dc * i * (1.0 - g * g)
+            d[..., 3 * h:] = dh * tc * o * (1.0 - o)
             dc_carry = dc * f
-            dh_carry = d @ ud.T
+            np.matmul(d[0], us[0].T, out=dh_carry[0])
+            np.matmul(d[1], us[1].T, out=dh_carry[1])
+        # back to (N, T) order per direction: the state each step started
+        # from, and the pre-activation gradients
+        prev = np.zeros((2, n, t_len, h))
+        prev[0, :, 1:] = data[:, :-1, :h]
+        prev[1, :, :-1] = data[:, 1:, h:]
+        dpres = [np.ascontiguousarray(dpre[:, 0].transpose(1, 0, 2)),
+                 np.ascontiguousarray(dpre[::-1, 1].transpose(1, 0, 2))]
         rows = n * t_len
-        return dpre, prev_h.reshape(rows, h).T @ dpre.reshape(rows, h4)
+        dus = [p.reshape(rows, h).T @ d.reshape(rows, h4) for p, d in zip(prev, dpres)]
+        return dpres + dus
 
     shares = _shared_shares(bptt)
-    return _tracked(data, pre, lambda g: shares(g)[0], u, lambda g: shares(g)[1])
+    return _tracked(data, inputs[0], lambda g: shares(g)[0], inputs[1], lambda g: shares(g)[1],
+                    inputs[2], lambda g: shares(g)[2], inputs[3], lambda g: shares(g)[3])

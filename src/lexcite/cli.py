@@ -182,7 +182,10 @@ def cmd_train(args) -> int:
         result = train_model(model, train_docs, val_docs, log_hook=hook)
 
     if args.tune_threshold:
-        tuned = tune_threshold(model, val_docs)
+        scores = result.best_val_scores
+        if scores is None:  # no epoch ran, so nothing was validated
+            _, scores = predict_corpus(model, val_docs)
+        tuned = tune_threshold(scores, [d.labels for d in val_docs], model.section_ids)
         print(f"tuned tau: {tuned}")
     else:
         tuned = None

@@ -132,5 +132,5 @@ class Model:
         for name, p in params.items():
             if p.data.shape != state[name].shape:
                 raise ValueError(f"shape mismatch for {name}")
-            p.data = state[name].astype(np.float64).copy()
+            p.data = state[name].astype(np.float64)  # always a copy
 

@@ -78,8 +78,9 @@ class BiGRU:
 class BiLSTM:
     """Bidirectional LSTM over (N, T, d_in); output width ``2 * hidden``.
 
-    Like :class:`BiGRU`, each direction is one input projection and one
-    :func:`~lexcite.autodiff.lstm_scan` node.
+    Each direction has its own input projection over all N * T steps at
+    once; one :func:`~lexcite.autodiff.bilstm_scan` node then runs both
+    directions' recurrences in a single time loop, forward and in BPTT.
     """
 
     def __init__(self, rng: np.random.Generator, d_in: int, hidden: int, name: str):
@@ -90,13 +91,10 @@ class BiLSTM:
             self.params[f"{name}.{d}.U"] = glorot_init(rng, (hidden, 4 * hidden))
             self.params[f"{name}.{d}.b"] = zeros_init((4 * hidden,))
 
-    def _direction(self, x: Tensor, d: str) -> Tensor:
-        p = self.params
-        pre = _project(x, p[f"{self.name}.{d}.W"], p[f"{self.name}.{d}.b"])
-        return ad.lstm_scan(pre, p[f"{self.name}.{d}.U"], reverse=d == "bw")
-
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.concat([self._direction(x, "fw"), self._direction(x, "bw")], axis=2)
+        p, name = self.params, self.name
+        pre_fw, pre_bw = (_project(x, p[f"{name}.{d}.W"], p[f"{name}.{d}.b"]) for d in ("fw", "bw"))
+        return ad.bilstm_scan(pre_fw, pre_bw, p[f"{name}.fw.U"], p[f"{name}.bw.U"])
 
 
 def _project(x: Tensor, w: Tensor, b: Tensor) -> Tensor:

@@ -189,17 +189,18 @@ def predict_corpus(model: Model, docs: list[FactDocument], tau: float | None = N
     return preds, np.array(all_scores)
 
 
-def tune_threshold(model: Model, val_docs: list[FactDocument],
+def tune_threshold(scores: np.ndarray, golds: list[list[str]], section_ids: list[str],
                    grid=DEFAULT_THRESHOLD_GRID) -> float:
-    """Pick the grid threshold maximizing validation macro-F1 (ties: smaller)."""
+    """Pick the grid threshold maximizing validation macro-F1 (ties: smaller),
+    from the (n_val, n_sec) combined scores `predict_corpus` gave the
+    validation facts and their gold labels. `train_model` keeps the scores of
+    its best epoch as `TrainResult.best_val_scores`."""
     if not grid:
         raise ValueError("empty threshold grid")
-    _, scores = predict_corpus(model, val_docs)
-    golds = [d.labels for d in val_docs]
-    universe = model.section_ids
     best_tau, best_f1 = None, -1.0
     for tau in sorted(grid):
-        _, _, f1 = macro_prf([_label_set(row, tau, universe) for row in scores], golds, universe)
+        _, _, f1 = macro_prf([_label_set(row, tau, section_ids) for row in scores], golds,
+                             section_ids)
         if f1 > best_f1 + 1e-12:
             best_tau, best_f1 = tau, f1
     return float(best_tau)
@@ -218,6 +219,8 @@ class TrainResult:
     best_epoch: int
     best_val_f1: float
     log: list[dict] = field(default_factory=list)
+    # the best epoch's validation scores, (n_val, n_sec); None if no epoch ran
+    best_val_scores: np.ndarray | None = None
 
 
 def _epoch_seed(seed: int, epoch: int) -> int:
@@ -230,8 +233,9 @@ def train_model(model: Model, train_docs: list[FactDocument], val_docs: list[Fac
     model's own config. Each batch's facts are encoded when the batch is
     taken, at the batch's extent.
 
-    The model is left holding the parameters of the best validation epoch;
-    of tied epochs the last, most trained one wins.
+    The model is left holding the parameters of the best validation epoch,
+    and the result that epoch's validation scores; of tied epochs the last,
+    most trained one wins.
     Raises DivergenceError on non-finite loss.
     """
     config, section_ids = model.config, model.section_ids
@@ -281,7 +285,7 @@ def train_model(model: Model, train_docs: list[FactDocument], val_docs: list[Fac
             sums["total"] += float(loss.data)
             n_batches += 1
 
-        val_preds, _ = predict_corpus(model, val_docs)
+        val_preds, val_scores = predict_corpus(model, val_docs)
         _, _, val_f1 = macro_prf(val_preds, [d.labels for d in val_docs], section_ids)
         record = {
             "epoch": epoch,
@@ -297,6 +301,7 @@ def train_model(model: Model, train_docs: list[FactDocument], val_docs: list[Fac
         if val_f1 >= result.best_val_f1 - 1e-12:
             result.best_val_f1 = val_f1
             result.best_epoch = epoch
+            result.best_val_scores = val_scores
             best_state = model.state_arrays()
 
     if best_state is not None:

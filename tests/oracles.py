@@ -139,7 +139,9 @@ def lstm_scalar(xs, w, u, b, hidden):
     return states
 
 
-def _projection(layer, x, d):
+def direction_projection(layer, x, d):
+    """The input projection of direction `d` of an `nn.BiGRU` or `nn.BiLSTM`:
+    (N, T, d_in) -> (N, T, k)."""
     n, t_len, d_in = x.shape
     w, b = layer.params[f"{layer.name}.{d}.W"], layer.params[f"{layer.name}.{d}.b"]
     pre = ad.add(ad.matmul(ad.reshape(x, (n * t_len, d_in)), w), b)
@@ -153,7 +155,7 @@ def bigru_direction_unfused(layer, x, mask, d):
     u_zr = layer.params[f"{layer.name}.{d}.U_zr"]
     u_n = layer.params[f"{layer.name}.{d}.U_n"]
     h = u_n.shape[0]
-    pre = _projection(layer, x, d)
+    pre = direction_projection(layer, x, d)
     order = range(t_len) if d == "fw" else range(t_len - 1, -1, -1)
     state = ad.Tensor(np.zeros((n, h)))
     outs = [None] * t_len
@@ -174,11 +176,16 @@ def bigru_direction_unfused(layer, x, mask, d):
 def bilstm_direction_unfused(layer, x, d):
     """One direction of an `nn.BiLSTM`, one set of tape nodes per time step;
     returns the (N, T, hidden) hidden states."""
-    n, t_len, _ = x.shape
-    u = layer.params[f"{layer.name}.{d}.U"]
+    return lstm_direction_unfused(direction_projection(layer, x, d),
+                                  layer.params[f"{layer.name}.{d}.U"], reverse=d == "bw")
+
+
+def lstm_direction_unfused(pre, u, reverse):
+    """An LSTM over the input projection `pre` (N, T, 4h), one set of tape
+    nodes per time step; returns the (N, T, hidden) hidden states."""
+    n, t_len, _ = pre.shape
     h = u.shape[0]
-    pre = _projection(layer, x, d)
-    order = range(t_len) if d == "fw" else range(t_len - 1, -1, -1)
+    order = range(t_len - 1, -1, -1) if reverse else range(t_len)
     hs = ad.Tensor(np.zeros((n, h)))
     cs = ad.Tensor(np.zeros((n, h)))
     outs = [None] * t_len

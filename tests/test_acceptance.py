@@ -59,7 +59,8 @@ def synth500(tmp_path_factory):
     config = TrainingConfig.desk_scale(seed=0)
     model = Model(np.random.default_rng(config.seed), config, vocab, graph, hierarchy)
     result = train_model(model, train, val)
-    tuned_tau = tune_threshold(model, val)
+    tuned_tau = tune_threshold(result.best_val_scores, [d.labels for d in val],
+                               hierarchy.section_ids)
     return {
         "tmp": tmp, "hierarchy": hierarchy, "train": train, "val": val, "test": test,
         "graph": graph, "vocab": vocab, "config": config, "model": model,

@@ -230,6 +230,61 @@ class TestEngine:
         assert len(calls) == 5
 
 
+class TestScatter:
+    """The index path of backward, `_scatter_add`, against `np.add.at` on
+    the same buffer: bitwise equal, shares summed in the same order."""
+
+    @staticmethod
+    def _check(buf, key, share):
+        want = buf.copy(order="K")
+        np.add.at(want, key, share)
+        ad._scatter_add(buf, key, share)
+        assert np.array_equal(buf, want)
+        return buf
+
+    @pytest.mark.parametrize("shape", [(220, 32), (40, 3, 5)])
+    def test_row_index_with_repeats_and_negative_entries(self, rng, shape):
+        key = rng.integers(-shape[0], shape[0], size=440)
+        key[:4] = [3, -1, 3, shape[0] - 1]  # row 3 twice; row -1 and its positive twin
+        # magnitudes spread over many decades, so a change of order shows
+        share = rng.normal(size=(440,) + shape[1:]) * 10.0 ** rng.integers(-8, 8, (440,) + shape[1:])
+        self._check(np.zeros(shape), key, share)
+
+    def test_accumulates_onto_an_existing_buffer(self, rng):
+        key = np.array([0, 2, 0, -3, 1])
+        self._check(rng.normal(size=(6, 4)), key, rng.normal(size=(5, 4)))
+
+    @pytest.mark.parametrize("key", [[0, 0, 2, -1], (np.array([0, 0, 1]), np.array([1, 1, 2])),
+                                     2, (slice(1, 3), slice(None, 2)), (1, slice(None))],
+                             ids=["list", "tuple-of-arrays", "int", "tuple-of-slices", "int-slice"])
+    def test_other_keys(self, rng, key):
+        buf = np.zeros((4, 3))
+        self._check(buf, key, rng.normal(size=buf[key].shape))
+
+    def test_non_contiguous_buffer_gets_the_sum_in_place(self, rng):
+        key = np.array([1, 1, -1, 0])
+        share = rng.normal(size=(4, 5))
+        buf = np.asfortranarray(rng.normal(size=(3, 5)))
+        assert self._check(buf, key, share) is buf
+        view = np.zeros((5, 3)).T  # a transposed view: flattening it would copy
+        self._check(view, key, share)
+        assert view.base is not None and view.any()
+
+    @pytest.mark.parametrize("row", [3, -4])
+    def test_out_of_range_row_raises(self, row):
+        with pytest.raises(IndexError):
+            ad._scatter_add(np.zeros((3, 2)), np.array([0, row]), np.ones((2, 2)))
+
+    def test_backward_through_embedding_and_getitem(self, rng):
+        table = Parameter(rng.normal(size=(7, 4)))
+        idx = np.array([[1, -1], [1, 6]])
+        upstream = rng.normal(size=(2, 2, 4))
+        ad.tsum(ad.mul(ad.embedding(table, idx), upstream)).backward()
+        want = np.zeros((7, 4))
+        np.add.at(want, idx.reshape(-1), upstream.reshape(-1, 4))
+        assert np.array_equal(table.grad, want)
+
+
 def _live_tensors():
     return sum(isinstance(o, Tensor) for o in gc.get_objects())
 

@@ -4,6 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lexcite import (HeteroGraph, load_checkpoint, load_facts, load_hierarchy, predict_corpus,
+                     tune_threshold)
 from lexcite.cli import main
 
 
@@ -354,6 +356,32 @@ def test_predict_defaults_to_tuned_tau(pipeline, tuned_run, tmp_path):
         must = {s for s, v in rec["scores"].items() if v >= tuned + 5e-7}
         may = {s for s, v in rec["scores"].items() if v >= tuned - 5e-7}
         assert must <= set(rec["predicted"]) <= may, rec["id"]
+
+
+@pytest.mark.parametrize("epochs", [0, None])
+def test_tuned_tau_is_tuned_on_the_checkpoint_validation_scores(pipeline, tuned_run, tmp_path,
+                                                                epochs):
+    # train reuses the best epoch's validation scores; with no epoch it
+    # scores the untrained model itself. Either way tau is what tuning on the
+    # saved model's own validation predictions gives.
+    checkpoint = tuned_run
+    if epochs is not None:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**CONFIG, "epochs": epochs}))
+        assert main(["train", "--facts", str(pipeline / "splits" / "train.jsonl"),
+                     "--val-facts", str(pipeline / "splits" / "validation.jsonl"),
+                     "--hierarchy", str(pipeline / "data" / "hierarchy.json"),
+                     "--graph", str(pipeline / "graph" / "graph.json"),
+                     "--config", str(cfg_path), "--tune-threshold",
+                     "--out-dir", str(tmp_path / "run")]) == 0
+        checkpoint = tmp_path / "run" / "checkpoint.npz"
+    hierarchy = load_hierarchy(pipeline / "data" / "hierarchy.json")
+    model, meta = load_checkpoint(checkpoint, HeteroGraph.load(pipeline / "graph" / "graph.json"),
+                                  hierarchy)
+    val = load_facts(pipeline / "splits" / "validation.jsonl", hierarchy)
+    _, scores = predict_corpus(model, val)
+    want = tune_threshold(scores, [d.labels for d in val], model.section_ids)
+    assert meta["extra"]["tuned_tau"] == want
 
 
 def test_tau_source_flag_and_config(pipeline, tuned_run, tmp_path):

@@ -12,7 +12,8 @@ from lexcite import autodiff as ad
 from lexcite.autodiff import Parameter, no_grad
 from lexcite.nn import BiGRU, BiLSTM, pack
 
-from oracles import bigru_direction_unfused, bilstm_direction_unfused
+from oracles import (bigru_direction_unfused, bilstm_direction_unfused, direction_projection,
+                     lstm_direction_unfused)
 
 N, D_IN, HIDDEN = 5, 4, 3
 
@@ -72,15 +73,55 @@ def test_gru_scan_matches_unfused_direction(t_len, d, lengths_kind):
         leaves, rng, atol=1e-12)
 
 
+def _check_bilstm_direction(rng, n, t_len, d_in, hidden, d):
+    """Direction `d`'s half of the fused BiLSTM, and every gradient through
+    it, bitwise against the per-step oracle. U's gradient is the one sum in
+    another order: the fused op takes it in one GEMM over all steps where the
+    oracle adds a GEMM per step. So it must equal that one GEMM over the
+    oracle's own states and pre-activation gradients bitwise, and the
+    oracle's sum to rounding."""
+    layer = BiLSTM(rng, d_in, hidden, "l")
+    x = Parameter(rng.normal(size=(n, t_len, d_in)))
+    half = slice(None, hidden) if d == "fw" else slice(hidden, None)
+    upstream = np.zeros((n, t_len, 2 * hidden))  # the other half gets no gradient
+    upstream[..., half] = rng.normal(size=(n, t_len, hidden))
+    leaves = {"x": x, **layer.params}
+    fused = layer(x)
+    pre = direction_projection(layer, x, d)
+    oracle = lstm_direction_unfused(pre, layer.params[f"l.{d}.U"], reverse=d == "bw")
+    assert np.array_equal(fused.data[..., half], oracle.data)
+
+    got = _grads(fused, upstream, leaves)
+    for p in leaves.values():
+        p.grad = None
+    ad.tsum(ad.mul(oracle, upstream[..., half])).backward()
+    for name, p in leaves.items():
+        if f".{d}." not in name and name != "x":
+            assert not got[name].any() and p.grad is None, name
+        elif not name.endswith(".U"):
+            assert np.array_equal(got[name], p.grad), name
+    prev = np.zeros_like(oracle.data)  # the state each step started from
+    if d == "fw":
+        prev[:, 1:] = oracle.data[:, :-1]
+    else:
+        prev[:, :-1] = oracle.data[:, 1:]
+    rows = n * t_len
+    one_gemm = prev.reshape(rows, hidden).T @ pre.grad.reshape(rows, 4 * hidden)
+    assert np.array_equal(got[f"l.{d}.U"], one_gemm)
+    npt.assert_allclose(got[f"l.{d}.U"], layer.params[f"l.{d}.U"].grad, rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("t_len", [1, 2, 9])
 @pytest.mark.parametrize("d", ["fw", "bw"])
 def test_lstm_scan_matches_unfused_direction(t_len, d):
-    rng = np.random.default_rng(t_len)
-    layer = BiLSTM(rng, D_IN, HIDDEN, "l")
-    x = Parameter(rng.normal(size=(N, t_len, D_IN)))
-    leaves = {"x": x, **{k: v for k, v in layer.params.items() if f".{d}." in k}}
-    _check_against_oracle(lambda: layer._direction(x, d),
-                          lambda: bilstm_direction_unfused(layer, x, d), leaves, rng)
+    _check_bilstm_direction(np.random.default_rng(t_len), N, t_len, D_IN, HIDDEN, d)
+
+
+@pytest.mark.parametrize("d", ["fw", "bw"])
+def test_lstm_scan_matches_unfused_direction_at_statute_width(d):
+    # the scorer's section BiLSTM on the statute-wide workload: the
+    # attribute and structural sets (N = 2), 100 sections, 32-d
+    _check_bilstm_direction(np.random.default_rng(100), 2, 100, 32, 32, d)
 
 
 def test_bidirectional_output_is_both_unfused_directions(rng):
@@ -127,22 +168,23 @@ def test_tape_size_does_not_grow_with_sequence_length(kind, rng, monkeypatch):
 def test_scans_record_and_store_nothing_without_gradients(rng, monkeypatch):
     t_len, hidden = 64, 16
     pre3 = Parameter(rng.normal(size=(N * t_len, 3 * hidden)))
-    pre4 = Parameter(rng.normal(size=(N, t_len, 4 * hidden)))
+    pre4 = [Parameter(rng.normal(size=(N, t_len, 4 * hidden))) for _ in range(2)]
     u_zr = Parameter(rng.normal(size=(hidden, 2 * hidden)))
     u_n = Parameter(rng.normal(size=(hidden, hidden)))
-    u = Parameter(rng.normal(size=(hidden, 4 * hidden)))
+    u = [Parameter(rng.normal(size=(hidden, 4 * hidden))) for _ in range(2)]
     runs = {"gru": lambda: ad.gru_scan(pre3, np.full(t_len, N), u_zr, u_n),
-            "lstm": lambda: ad.lstm_scan(pre4, u, reverse=True)}
+            "lstm": lambda: ad.bilstm_scan(*pre4, *u)}
     calls = _count_tracked(monkeypatch)
     for name, run in runs.items():
-        out_bytes = N * t_len * hidden * 8
         tracemalloc.start()
         with no_grad():
             out = run()
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
+        out_bytes = out.data.nbytes
         assert not out.requires_grad and out._parents == ()
-        # the (N, T, h) states alone: no per-step gate arrays
+        # the states alone: no per-step gate arrays, no time-major copy of
+        # the projections
         assert peak < 1.5 * out_bytes, name
         tracemalloc.start()
         recorded = run()

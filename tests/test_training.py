@@ -374,16 +374,20 @@ class TestPrediction:
 class TestTuneThreshold:
     def test_single_value_grid(self, tmp_path):
         model, graph, train, val, _, hierarchy, vocab, config = tiny_setup(tmp_path, epochs=1)
-        assert tune_threshold(model, val, grid=(0.4,)) == 0.4
+        _, scores = predict_corpus(model, val)
+        golds = [d.labels for d in val]
+        assert tune_threshold(scores, golds, model.section_ids, grid=(0.4,)) == 0.4
 
     def test_returns_grid_maximum(self, tmp_path):
         from lexcite.metrics import macro_prf
         model, graph, train, val, _, hierarchy, vocab, config = tiny_setup(
             tmp_path, n_docs=40, epochs=2)
-        train_model(model, train, val)
-        tau = tune_threshold(model, val)
-        _, scores = predict_corpus(model, val)
+        result = train_model(model, train, val)
         golds = [d.labels for d in val]
+        tau = tune_threshold(result.best_val_scores, golds, hierarchy.section_ids)
+        _, scores = predict_corpus(model, val)
+        # the kept scores are what the restored best parameters predict
+        assert np.array_equal(result.best_val_scores, scores)
 
         def f1_at(t):
             preds = [{hierarchy.section_ids[i] for i in np.flatnonzero(row >= t)}
