@@ -14,7 +14,8 @@ Run from the repository root. The shapes are the layers' places in the model:
   32-d embeddings and 16 units per direction (desk scale), 64 words with
   200-d embeddings and 100 units (paper default).
 
-Inputs and parameters are drawn from a fixed seed. Each case runs twice
+Inputs and parameters are drawn from a fixed seed and cast to the model's
+dtype, `lexcite.model.PARAM_DTYPE` (float32). Each case runs twice
 untimed, then `--repeats` times; the backward pass starts from the sum of
 the outputs. Prints one JSON line per case with the median and quartiles in
 milliseconds. This is a measuring tool, not a test; nothing runs it in the
@@ -32,6 +33,7 @@ import numpy as np
 
 from lexcite import autodiff as ad
 from lexcite.autodiff import Parameter, no_grad
+from lexcite.model import PARAM_DTYPE
 from lexcite.nn import BiGRU, BiLSTM, pack
 
 SEED = 0
@@ -49,6 +51,8 @@ def _cases(scale: str, rng: np.random.Generator):
     gru = BiGRU(rng, s["embed"], s["d_prime"] // 2, "g")
     sizes, _, _ = pack(rng.integers(1, s["words"] + 1, size=SENTENCES))
     x_gru = Parameter(rng.normal(size=(int(sizes.sum()), s["embed"])))
+    for p in [x_lstm, x_gru, *lstm.params.values(), *gru.params.values()]:
+        p.data = p.data.astype(PARAM_DTYPE)
     yield (f"BiLSTM {scale} (N={SECTION_SETS}, T={SECTIONS}, d={s['d_prime']})",
            lambda: lstm(x_lstm))
     yield (f"BiGRU {scale} ({SENTENCES} sentences, <= {s['words']} words, "

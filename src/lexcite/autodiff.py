@@ -12,12 +12,17 @@ add it, and bitwise so: a basic index (ints, slices) adds in place, a 1-D
 integer row index goes in as one ``np.add.at`` over the flattened buffer,
 and any other index through ``np.add.at`` itself. So shares through a
 repeated index or a reused input all add up. A first share the VJP made
-fresh (a writeable float64 array of the input's shape that owns its data) is
-adopted as the buffer; the node's own gradient, a view or a broadcast is
-copied, so that no later ``+=`` writes through it. All data is float64;
-gradient checks against central finite differences are part of the test
-suite, so the engine is deliberately free of any reduced-precision
-shortcuts.
+fresh (a writeable array of the input's shape and dtype that owns its data)
+is adopted as the buffer; the node's own gradient, a view or a broadcast is
+copied, so that no later ``+=`` writes through it.
+
+The engine computes in the floating dtype of its data: a tensor keeps the
+dtype of the array it is given (anything not floating becomes float64), and
+every buffer an op, a recurrence or backward allocates takes the dtype of
+its inputs. A Python scalar operand stays weak, as in numpy, so
+``mul(x, 0.5)`` has x's dtype. A float32 model therefore trains and
+predicts in float32 throughout; gradient checks against central finite
+differences widen the parameters to float64 first.
 
 Backward consumes the graph it walks: each node leaves the topological list
 as it is run, and an interior node then drops its inputs and VJPs, and with
@@ -72,7 +77,8 @@ class Tensor:
     def __init__(self, data, requires_grad=False):
         if isinstance(data, Tensor):
             data = data.data
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype.kind == "f" else data.astype(np.float64)
         self.grad = None
         self.requires_grad = requires_grad
         self._parents = ()
@@ -106,7 +112,7 @@ class Tensor:
             grad = np.ones_like(self.data)
 
         topo = _topological(self)
-        self.grad = np.asarray(grad, dtype=np.float64)
+        self.grad = np.asarray(grad, dtype=self.data.dtype)
         while topo:  # the root first; a node leaves the list as it is run
             _run_vjps(topo.pop())
 
@@ -137,12 +143,12 @@ def _topological(root) -> list:
 
 def _adoptable(share, g, like) -> bool:
     """Whether a first share can become the input's gradient buffer as it
-    is: a fresh float64 array of the input's shape that owns its data and is
-    writeable. The node's own gradient `g`, views and broadcasts are not:
+    is: a fresh array of the input's shape and dtype that owns its data and
+    is writeable. The node's own gradient `g`, views and broadcasts are not:
     later shares are added into the buffer in place."""
     return (share is not g and isinstance(share, np.ndarray) and share.flags.owndata
             and share.flags.writeable and share.shape == like.shape
-            and share.dtype == np.float64)
+            and share.dtype == like.dtype)
 
 
 def _run_vjps(node):
@@ -159,7 +165,7 @@ def _run_vjps(node):
         share = vjp(g)
         if index is not None:
             if x.grad is None:
-                x.grad = np.zeros(x.data.shape)
+                x.grad = np.zeros(x.data.shape, dtype=x.data.dtype)
             _scatter_add(x.grad, index, share)
         elif x.grad is None:
             if _adoptable(share, g, x.data):
@@ -235,6 +241,17 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _operands(a, b) -> tuple[Tensor, Tensor]:
+    """Both operands of a binary op as tensors. A Python scalar beside a
+    tensor takes the tensor's dtype, as numpy's weak scalars do, so it never
+    widens the result."""
+    if isinstance(b, (int, float)) and isinstance(a, Tensor):
+        return a, _raw(np.asarray(b, dtype=a.data.dtype))
+    if isinstance(a, (int, float)) and isinstance(b, Tensor):
+        return _raw(np.asarray(a, dtype=b.data.dtype)), b
+    return _as_tensor(a), _as_tensor(b)
+
+
 def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
     """Reduce `grad` back to `shape` after numpy broadcasting."""
     if grad.shape == shape:
@@ -252,7 +269,7 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
 
 
 def add(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _operands(a, b)
     data = a.data + b.data
     if not (_grad_enabled and (a.requires_grad or b.requires_grad)):
         return _raw(data)
@@ -261,7 +278,7 @@ def add(a, b):
 
 
 def sub(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _operands(a, b)
     data = a.data - b.data
     if not (_grad_enabled and (a.requires_grad or b.requires_grad)):
         return _raw(data)
@@ -270,7 +287,7 @@ def sub(a, b):
 
 
 def mul(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _operands(a, b)
     data = a.data * b.data
     if not (_grad_enabled and (a.requires_grad or b.requires_grad)):
         return _raw(data)
@@ -321,10 +338,17 @@ def tanh(a):
     return _tracked(out_data, a, lambda g: g * (1.0 - out_data * out_data))
 
 
+# exp(-x) overflows to inf for x below about -88 in float32 (-709 in
+# float64), and the sigmoid is then exactly 0: no warning is due. The ops
+# that take sigmoids run under this.
+_quiet_overflow = np.errstate(over="ignore")
+
+
 def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
+@_quiet_overflow
 def sigmoid(a):
     a = _as_tensor(a)
     out_data = _sigmoid(a.data)
@@ -344,7 +368,8 @@ def relu(a):
 
 def leaky_relu(a, slope=0.01):
     a = _as_tensor(a)
-    factor = np.where(a.data > 0, 1.0, slope)
+    dtype = a.data.dtype.type
+    factor = np.where(a.data > 0, dtype(1.0), dtype(slope))
     data = a.data * factor
     if not (_grad_enabled and a.requires_grad):
         return _raw(data)
@@ -476,7 +501,7 @@ def scatter_rows(values, idx, n_rows):
     """
     values = _as_tensor(values)
     idx = np.asarray(idx)
-    data = np.zeros((n_rows,) + values.data.shape[1:], dtype=np.float64)
+    data = np.zeros((n_rows,) + values.data.shape[1:], dtype=values.data.dtype)
     data[idx] = values.data
     if not (_grad_enabled and values.requires_grad):
         return _raw(data)
@@ -542,6 +567,7 @@ def packed_softmax(a, sizes):
     return _tracked(p, a, lambda g: (gp := g * p) - p * _per_sequence(np.add, gp, sizes)[seq])
 
 
+@_quiet_overflow
 def gru_scan(pre, sizes, u_zr, u_n, reverse=False):
     """One direction of a GRU over a packed batch of sequences. Returns the
     (P, h) states, one per real step, as a single node.
@@ -562,16 +588,17 @@ def gru_scan(pre, sizes, u_zr, u_n, reverse=False):
     h = h3 // 3
     uzr, un = u_zr.data, u_n.data
     record = _grad_enabled and (pre.requires_grad or u_zr.requires_grad or u_n.requires_grad)
+    dtype = np.result_type(pre.data, uzr, un)
     spans = _step_rows(sizes)
     order = spans[::-1] if reverse else spans
-    data = np.empty((rows, h))
+    data = np.empty((rows, h), dtype)
     if record:  # per step: gate activations, candidate and r * h
-        zrs = np.empty((rows, 2 * h))
-        cands = np.empty((rows, h))
-        rhs = np.empty((rows, h))
+        zrs = np.empty((rows, 2 * h), dtype)
+        cands = np.empty((rows, h), dtype)
+        rhs = np.empty((rows, h), dtype)
     # a sequence's state stays at its rank; in reverse, the rows that start
     # at a step are still zero when they first join
-    state = np.zeros((sizes[0], h))
+    state = np.zeros((sizes[0], h), dtype)
     for lo, hi in order:
         last = state[: hi - lo]
         pre_t = pre.data[lo:hi]
@@ -589,12 +616,12 @@ def gru_scan(pre, sizes, u_zr, u_n, reverse=False):
         return _raw(data)
 
     def bptt(g):
-        prev = np.zeros((rows, h))  # the state each step started from
+        prev = np.zeros((rows, h), dtype)  # the state each step started from
         for (lo, hi), (plo, phi) in zip(order[1:], order):
             n = min(hi - lo, phi - plo)
             prev[lo : lo + n] = data[plo : plo + n]
-        dpre = np.empty((rows, h3))
-        carry = np.zeros((sizes[0], h))
+        dpre = np.empty((rows, h3), dtype)
+        carry = np.zeros((sizes[0], h), dtype)
         for lo, hi in reversed(order):
             dh = g[lo:hi] + carry[: hi - lo]
             zr, ncand, h_prev = zrs[lo:hi], cands[lo:hi], prev[lo:hi]
@@ -615,6 +642,7 @@ def gru_scan(pre, sizes, u_zr, u_n, reverse=False):
                     u_n, lambda g: shares(g)[2])
 
 
+@_quiet_overflow
 def bilstm_scan(pre_fw, pre_bw, u_fw, u_bw):
     """Both directions of an LSTM in one time loop. `pre_fw` and `pre_bw`
     (N, T, 4h) are the directions' input projections, whose last axis holds
@@ -636,17 +664,18 @@ def bilstm_scan(pre_fw, pre_bw, u_fw, u_bw):
     n, t_len, h4 = pres[0].shape
     h = h4 // 4
     record = _grad_enabled and any(a.requires_grad for a in inputs)
-    data = np.empty((n, t_len, 2 * h))
+    dtype = np.result_type(*pres, *us)
+    data = np.empty((n, t_len, 2 * h), dtype)
     # per step of both directions: the four gate activations and tanh of the
     # cell state, and the cell state after a zero start; without gradients,
     # one step's buffers, reused
-    acts = np.empty((t_len if record else 1, 2, n, h4))
-    tanh_cells = np.empty((t_len if record else 1, 2, n, h))
+    acts = np.empty((t_len if record else 1, 2, n, h4), dtype)
+    tanh_cells = np.empty((t_len if record else 1, 2, n, h), dtype)
     if record:
-        cells = np.zeros((t_len + 1, 2, n, h))
-    gates = np.empty((2, n, h4))
-    hs = np.zeros((2, n, h))
-    cs = np.zeros((2, n, h))
+        cells = np.zeros((t_len + 1, 2, n, h), dtype)
+    gates = np.empty((2, n, h4), dtype)
+    hs = np.zeros((2, n, h), dtype)
+    cs = np.zeros((2, n, h), dtype)
     for j in range(t_len):
         back = t_len - 1 - j
         a, tc = (acts[j], tanh_cells[j]) if record else (acts[0], tanh_cells[0])
@@ -674,12 +703,12 @@ def bilstm_scan(pre_fw, pre_bw, u_fw, u_bw):
     def bptt(grad):
         # the output gradient, and below it the pre-activation gradient, in
         # step order: entry j holds both directions' step j
-        dh_out = np.empty((t_len, 2, n, h))
+        dh_out = np.empty((t_len, 2, n, h), dtype)
         dh_out[:, 0] = grad[:, :, :h].transpose(1, 0, 2)
         dh_out[:, 1] = grad[:, ::-1, h:].transpose(1, 0, 2)
-        dpre = np.empty((t_len, 2, n, h4))
-        dh_carry = np.zeros((2, n, h))
-        dc_carry = np.zeros((2, n, h))
+        dpre = np.empty((t_len, 2, n, h4), dtype)
+        dh_carry = np.zeros((2, n, h), dtype)
+        dc_carry = np.zeros((2, n, h), dtype)
         for j in range(t_len - 1, -1, -1):
             a, tc, prev_c = acts[j], tanh_cells[j], cells[j]
             i, f, g, o = a[..., :h], a[..., h : 2 * h], a[..., 2 * h : 3 * h], a[..., 3 * h:]
@@ -696,7 +725,7 @@ def bilstm_scan(pre_fw, pre_bw, u_fw, u_bw):
             np.matmul(d[1], us[1].T, out=dh_carry[1])
         # back to (N, T) order per direction: the state each step started
         # from, and the pre-activation gradients
-        prev = np.zeros((2, n, t_len, h))
+        prev = np.zeros((2, n, t_len, h), dtype)
         prev[0, :, 1:] = data[:, :-1, :h]
         prev[1, :, :-1] = data[:, 1:, h:]
         dpres = [np.ascontiguousarray(dpre[:, 0].transpose(1, 0, 2)),

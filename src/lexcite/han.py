@@ -73,11 +73,12 @@ class TextEncoder:
         """Inverted-dropout multipliers for `n_rows` documents, (n_rows,
         max_sents, out_dim) for the sentence vectors and (n_rows, out_dim) for
         the document vectors: 0 with probability `dropout`, else
-        1 / (1 - dropout). Drawn at the sentence cap, so a row's draws never
-        depend on the other rows' lengths."""
+        1 / (1 - dropout), in the parameters' dtype. Drawn at the sentence cap,
+        so a row's draws never depend on the other rows' lengths."""
         p = self.dropout
-        sent = (rng.random((n_rows, max_sents, self.out_dim)) >= p) / (1.0 - p)
-        doc = (rng.random((n_rows, self.out_dim)) >= p) / (1.0 - p)
+        scale = np.asarray(1.0 / (1.0 - p), dtype=self.embedding.data.dtype)
+        sent = (rng.random((n_rows, max_sents, self.out_dim)) >= p) * scale
+        doc = (rng.random((n_rows, self.out_dim)) >= p) * scale
         return sent, doc
 
     def __call__(self, grids: np.ndarray, masks: np.ndarray,

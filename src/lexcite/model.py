@@ -24,11 +24,18 @@ from .structural import LookupEncoder, MetapathEncoder
 if TYPE_CHECKING:
     from .training import TrainingConfig
 
+# The dtype a new model's parameters take, and so the dtype it trains and
+# predicts in (the engine follows its data). A model widened to float64, or
+# loaded from a float64 checkpoint, computes in float64.
+PARAM_DTYPE = np.float32
+
 
 class Model:
     """Owns the run's inputs: the TrainingConfig it is built from (kept as
     `config`), the vocabulary, the citation graph and the statute hierarchy,
-    whose section texts it encodes once at construction, at their extent."""
+    whose section texts it encodes once at construction, at their extent.
+    Its parameters are drawn as the components draw them and then cast to
+    PARAM_DTYPE."""
 
     def __init__(self, rng: np.random.Generator, config: TrainingConfig, vocab: Vocabulary,
                  graph: HeteroGraph, hierarchy: StatuteHierarchy,
@@ -51,6 +58,8 @@ class Model:
         else:
             self.struct_encoder = LookupEncoder(rng, graph, config.d_prime)
         self.scorer = MatchScorer(rng, len(self.section_ids), config.d_prime, config.d_s)
+        for p in self.parameters().values():
+            p.data = p.data.astype(PARAM_DTYPE)
 
     def parameters(self) -> dict[str, Tensor]:
         params = {}
@@ -125,12 +134,18 @@ class Model:
         return {name: p.data.copy() for name, p in self.parameters().items()}
 
     def load_state_arrays(self, state: dict[str, np.ndarray]):
+        """Copy `state` into the parameters, in its own dtype: one floating
+        dtype for all of them, which the model then computes in."""
         params = self.parameters()
         missing = set(params) ^ set(state)
         if missing:
             raise ValueError(f"checkpoint/model parameter mismatch: {sorted(missing)}")
+        dtypes = {a.dtype for a in state.values()}
+        if len(dtypes) > 1 or next(iter(dtypes)).kind != "f":
+            raise ValueError(f"parameters must share one floating-point dtype, got "
+                             f"{sorted(map(str, dtypes))}")
         for name, p in params.items():
             if p.data.shape != state[name].shape:
                 raise ValueError(f"shape mismatch for {name}")
-            p.data = state[name].astype(np.float64)  # always a copy
+            p.data = state[name].copy()
 

@@ -96,6 +96,7 @@ class MetapathEncoder:
         n = len(gidx)
 
         tables = {t: self.feature_table(t) for t in NODE_TYPES}
+        dtype = tables[node_type].data.dtype
 
         per_schema: list[Tensor] = []
         weights: dict[str, np.ndarray] = {}
@@ -103,7 +104,7 @@ class MetapathEncoder:
             has, arr = graph._sample_walks_idx(gidx, schema, k, seed)  # arr in instance order
             with_idx = np.flatnonzero(has)
             if len(with_idx) == 0:
-                per_schema.append(Tensor(np.zeros((n, self.d_prime))))
+                per_schema.append(Tensor(np.zeros((n, self.d_prime), dtype)))
                 continue
             m_len = schema.length
 
@@ -144,7 +145,7 @@ class MetapathEncoder:
         q = ad.matmul(attr_embeddings, self.side_ctx[node_type])  # (n, d_m)
         scores = ad.stack([ad.tsum(ad.mul(q, s), axis=1) for s in summaries], axis=1)
         beta = ad.softmax(scores, axis=1)
-        out = Tensor(np.zeros((n, self.d_prime)))
+        out = Tensor(np.zeros((n, self.d_prime), per_schema[0].data.dtype))
         for j, h in enumerate(per_schema):
             out = ad.add(out, ad.mul(ad.reshape(beta[:, j], (n, 1)), h))
         return out, beta.data

@@ -143,11 +143,12 @@ def class_weights(freqs: np.ndarray, n_docs: int, config: TrainingConfig) -> np.
 
 def weighted_bce(scores: Tensor, targets: np.ndarray, weights: np.ndarray) -> Tensor:
     """-(1/B) sum_f sum_s [w_s y log o + (1 - y) log(1 - o)], scores clamped
-    away from {0, 1}. Normalized by batch size only, not by section count."""
+    away from {0, 1}. Normalized by batch size only, not by section count.
+    The coefficients take the scores' dtype."""
     batch = scores.shape[0]
     clamped = ad.clip(scores, SCORE_EPS, 1.0 - SCORE_EPS)
-    pos_coef = weights[None, :] * targets
-    neg_coef = 1.0 - targets
+    pos_coef = (weights[None, :] * targets).astype(scores.data.dtype, copy=False)
+    neg_coef = (1.0 - targets).astype(scores.data.dtype, copy=False)
     term = ad.add(ad.mul(ad.log(clamped), pos_coef),
                   ad.mul(ad.log(ad.sub(1.0, clamped)), neg_coef))
     return ad.mul(ad.tsum(term), -1.0 / batch)
@@ -165,12 +166,15 @@ def combined_loss(loss_a: Tensor, loss_s: Tensor | None, loss_l: Tensor,
 
 
 def _label_set(scores: np.ndarray, tau: float, section_ids: list[str]) -> set[str]:
-    return {section_ids[i] for i in np.flatnonzero(scores >= tau)}
+    """The sections scoring at least `tau`, compared in float64: a float32
+    comparison would round tau to float32 first."""
+    return {section_ids[i] for i in np.flatnonzero(np.asarray(scores, np.float64) >= tau)}
 
 
 def predict_corpus(model: Model, docs: list[FactDocument], tau: float | None = None):
     """Per fact: its thresholded label set and its combined score vector
-    lambda_a * attribute + lambda_l * alignment, as (label sets, (n, n_sec)).
+    lambda_a * attribute + lambda_l * alignment, mixed in float64, as (label
+    sets, (n, n_sec)).
 
     The sections are encoded once per call; then each fact is scored from its
     text only, independently of the others. That is what makes predictions
@@ -183,7 +187,8 @@ def predict_corpus(model: Model, docs: list[FactDocument], tau: float | None = N
     for doc in docs:
         grids, masks = encode_corpus([doc], model.vocab, config.max_sents, config.max_words)
         o_attr, o_align = model.score_one(state, grids[0], masks[0])
-        scores = config.lambda_a * o_attr + config.lambda_l * o_align
+        scores = (config.lambda_a * o_attr.astype(np.float64)
+                  + config.lambda_l * o_align.astype(np.float64))
         preds.append(_label_set(scores, tau, model.section_ids))
         all_scores.append(scores)
     return preds, np.array(all_scores)

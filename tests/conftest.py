@@ -32,6 +32,13 @@ def make_fact(doc_id: str, labels, court: str = "synthetic", sentences=None) -> 
     return FactDocument(id=doc_id, court=court, sentences=sentences, labels=set(labels))
 
 
+def widen_to_float64(model):
+    """Cast a model's parameters to float64, so that it computes in float64:
+    for checks at float64 tolerances, such as finite differences."""
+    model.load_state_arrays({k: v.astype(np.float64) for k, v in model.state_arrays().items()})
+    return model
+
+
 def write_hierarchy_file(path: Path, topic_sections: dict[str, list[str]],
                          chapters: dict[str, list[str]] | None = None) -> Path:
     topics = list(topic_sections)

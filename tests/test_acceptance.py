@@ -27,7 +27,7 @@ from lexcite.training import (TrainingConfig, citation_frequencies, class_weight
                               class_weights_tws, class_weights_vws, combined_loss, predict_corpus,
                               train_model, tune_threshold, weighted_bce)
 
-from conftest import make_fact
+from conftest import make_fact, widen_to_float64
 from oracles import (average_labels_per_doc, conforms, enumerate_instances, fd_gradients,
                      inter_aggregate_scalar, intra_aggregate_scalar, jaccard_scalar,
                      macro_prf_scalar, matvec_scalar, max_rel_error, softmax_scalar, tws_scalar,
@@ -82,7 +82,8 @@ def test_criterion_1_gradient_fidelity(tmp_path):
     cfg = TrainingConfig(d_prime=8, d_node=8, d_m=8, d_s=8, embed_dim=8, max_sents=3,
                          max_words=6, k_instances=2, batch_size=4, dropout=0.0, epochs=1,
                          lr=1e-3, seed=0)
-    model = Model(np.random.default_rng(0), cfg, vocab, graph, hierarchy)
+    # finite differences need float64: the model is widened from its float32
+    model = widen_to_float64(Model(np.random.default_rng(0), cfg, vocab, graph, hierarchy))
     grids, masks = encode_corpus(docs, vocab, cfg.max_sents, cfg.max_words)
     targets = np.stack([hierarchy.label_vector(d.labels) for d in docs])
     weights = class_weights(citation_frequencies(docs, hierarchy.section_ids), len(docs), cfg)
