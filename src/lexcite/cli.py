@@ -38,9 +38,11 @@ def _resolve_config(args) -> tuple[TrainingConfig, str]:
     values: dict = {}
     if args.config:
         try:
-            values.update(json.loads(Path(args.config).read_text(encoding="utf-8")))
+            values = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except json.JSONDecodeError as e:
             raise SystemExit(f"error: config file {args.config}: {e}")
+        if not isinstance(values, dict):
+            raise ValueError(f"config file {args.config}: expected a flat JSON object")
     known = {f.name for f in fields(TrainingConfig)}
     unknown = set(values) - known - {"ablation"}
     if unknown:
@@ -105,10 +107,11 @@ def cmd_split(args) -> int:
         spec = SplitSpec(ratios=ratios, seed=args.seed)
     except ValueError as e:
         raise SystemExit(f"error: {e}")
-    _echo_and_store(args.out_dir, "split", {"ratios": list(spec.ratios), "seed": spec.seed,
-                                            "facts": str(args.facts)})
+    # Read every input before writing anything, so a refused one leaves no output.
     hierarchy = load_hierarchy(args.hierarchy)
     docs = _load_corpus(args.facts, hierarchy)
+    _echo_and_store(args.out_dir, "split", {"ratios": list(spec.ratios), "seed": spec.seed,
+                                            "facts": str(args.facts)})
     folds = iterative_stratified_split(docs, spec)
 
     files = {}
@@ -134,10 +137,10 @@ def cmd_split(args) -> int:
 
 def cmd_build_graph(args) -> int:
     _check_role(args.facts, "train")
-    _echo_and_store(args.out_dir, "build-graph", {"facts": str(args.facts),
-                                                  "hierarchy": str(args.hierarchy)})
     hierarchy = load_hierarchy(args.hierarchy)
     docs = _load_corpus(args.facts, hierarchy)
+    _echo_and_store(args.out_dir, "build-graph", {"facts": str(args.facts),
+                                                  "hierarchy": str(args.hierarchy)})
     graph = build_citation_graph(docs, hierarchy)
     graph_path = args.out_dir / "graph.json"
     graph.save(graph_path)

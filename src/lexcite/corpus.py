@@ -147,20 +147,30 @@ def load_hierarchy(path, expected_sections: int | None = None) -> StatuteHierarc
     if not isinstance(doc, dict) or "chapters" not in doc:
         raise HierarchyError(f"{path}: expected a single act object with 'chapters'")
 
+    def children(node, owner, key, kind):
+        """`node[key]`, or [] if absent: a list of objects that each carry an ``id``."""
+        items = node.get(key, [])
+        if not isinstance(items, list):
+            raise HierarchyError(f"{path}: '{key}' of {owner!r} must be a list, "
+                                 f"not {type(items).__name__}")
+        if not all(isinstance(item, dict) and "id" in item for item in items):
+            raise HierarchyError(f"{path}: a {kind} under {owner!r} has no 'id'")
+        return items
+
     act_id = str(doc.get("id", "ACT"))
     chapters: list[str] = []
     topics: list[str] = []
     sections: list[Statute] = []
     parent: dict[str, str] = {}
-    for chapter in doc["chapters"]:
+    for chapter in children(doc, act_id, "chapters", "chapter"):
         cid = str(chapter["id"])
         chapters.append(cid)
         parent[cid] = act_id
-        for topic in chapter.get("topics", []):
+        for topic in children(chapter, cid, "topics", "topic"):
             tid = str(topic["id"])
             topics.append(tid)
             parent[tid] = cid
-            for sec in topic.get("sections", []):
+            for sec in children(topic, tid, "sections", "section"):
                 sid = str(sec["id"])
                 sentences = _tokenize_text_field(sec.get("text", ""))
                 sections.append(Statute(id=sid, title=str(sec.get("title", "")),
@@ -198,6 +208,8 @@ def load_facts_with_report(path, hierarchy: StatuteHierarchy):
                 record = json.loads(line)
             except json.JSONDecodeError:
                 raise CorpusError(f"{path}:{lineno}: malformed JSON record") from None
+            if not isinstance(record, dict):
+                raise CorpusError(f"{path}:{lineno}: record is not a JSON object")
             for key in ("id", "text", "labels"):
                 if key not in record:
                     raise CorpusError(f"{path}:{lineno}: record missing '{key}'")
@@ -208,6 +220,8 @@ def load_facts_with_report(path, hierarchy: StatuteHierarchy):
             sentences = _tokenize_text_field(record["text"])
             if not sentences:
                 raise CorpusError(f"{path}:{lineno}: document {doc_id!r} has no tokens")
+            if not isinstance(record["labels"], list):
+                raise CorpusError(f"{path}:{lineno}: 'labels' must be a list of section ids")
             labels = {str(lab) for lab in record["labels"]}
             known = {lab for lab in labels if lab in hierarchy}
             report.n_dropped_labels += len(labels) - len(known)

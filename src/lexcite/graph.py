@@ -20,7 +20,6 @@ import numpy as np
 
 NODE_TYPES = ("A", "C", "T", "S", "F")
 RELATIONS = ("ct", "ctb", "inc", "po")
-INVERSE_RELATION = {"ct": "ctb", "ctb": "ct", "inc": "po", "po": "inc"}
 
 # Legal (source type, relation, destination type) steps.
 LEGAL_STEPS = {

@@ -25,6 +25,8 @@ from .model import Model
 SCORE_EPS = 1e-7
 DEFAULT_THRESHOLD_GRID = tuple(round(0.05 * i, 2) for i in range(1, 20))
 CHECKPOINT_FORMAT_VERSION = 1
+# what each annotated field type of TrainingConfig accepts (bools are refused)
+_FIELD_TYPES = {"int": int, "float": (int, float), "str": str}
 
 
 class DivergenceError(RuntimeError):
@@ -61,6 +63,13 @@ class TrainingConfig:
     structural: str = "metapath"
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, np.generic):  # a numpy scalar becomes the Python one
+                value = value.item()
+                setattr(self, f.name, value)
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
+                raise ValueError(f"{f.name} must be of type {f.type}, not {value!r}")
         if min(self.theta_a, self.theta_s, self.theta_l) < 0:
             raise ValueError("loss weights must be non-negative")
         if self.lambda_a < 0 or self.lambda_l < 0 or self.lambda_a + self.lambda_l <= 0:

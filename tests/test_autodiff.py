@@ -230,6 +230,68 @@ class TestEngine:
         assert len(calls) == 5
 
 
+# Every op and scan, called on inputs made by `t(shape)`.
+SIZES = np.array([2, 1, 1])
+RECORDING_OPS = {
+    "add": lambda t: ad.add(t((2, 3)), t((3,))),
+    "sub": lambda t: ad.sub(t((2, 3)), t((2, 1))),
+    "mul": lambda t: ad.mul(t((2, 3)), t((2, 3))),
+    "matmul": lambda t: ad.matmul(t((2, 3)), t((3, 4))),
+    "affine": lambda t: ad.affine(t((2, 3)), t((3, 4)), t((4,))),
+    "log": lambda t: ad.log(t((2, 3))),
+    "tanh": lambda t: ad.tanh(t((2, 3))),
+    "sigmoid": lambda t: ad.sigmoid(t((2, 3))),
+    "relu": lambda t: ad.relu(t((2, 3))),
+    "leaky_relu": lambda t: ad.leaky_relu(t((2, 3))),
+    "clip": lambda t: ad.clip(t((2, 3)), 0.8, 1.5),
+    "tsum": lambda t: ad.tsum(t((2, 3)), axis=1),
+    "softmax": lambda t: ad.softmax(t((2, 3))),
+    "reshape": lambda t: ad.reshape(t((2, 3)), (3, 2)),
+    "transpose": lambda t: ad.transpose(t((2, 3, 4)), (1, 2, 0)),
+    "getitem": lambda t: ad.getitem(t((4, 3)), np.array([0, 0, 2])),
+    "concat": lambda t: ad.concat([t((2, 3)), t((2, 1))], axis=1),
+    "stack": lambda t: ad.stack([t((2, 3)), t((2, 3))], axis=1),
+    "embedding": lambda t: ad.embedding(t((5, 3)), np.array([[0, 4], [1, 1]])),
+    "scatter_rows": lambda t: ad.scatter_rows(t((2, 3)), np.array([3, 0]), 5),
+    "packed_sum": lambda t: ad.packed_sum(t((4, 3)), SIZES),
+    "packed_softmax": lambda t: ad.packed_softmax(t((4,)), SIZES),
+    "gru_scan": lambda t: ad.gru_scan(t((4, 6)), SIZES, t((2, 4)), t((2, 2))),
+    "bilstm_scan": lambda t: ad.bilstm_scan(t((2, 3, 8)), t((2, 3, 8)), t((2, 8)), t((2, 8))),
+}
+
+
+class TestRecordingRule:
+    """A node is recorded, by one `_tracked` call, exactly when grad mode is
+    on and some input requires a gradient; otherwise the op returns a plain
+    tensor and `_tracked` is not called."""
+
+    @staticmethod
+    def _run(monkeypatch, op, kind):
+        calls = []
+        tracked = ad._tracked
+        monkeypatch.setattr(ad, "_tracked",
+                            lambda *args, **kw: calls.append(1) or tracked(*args, **kw))
+        rng = np.random.default_rng(0)
+        out = RECORDING_OPS[op](lambda shape: kind(rng.uniform(0.5, 2.0, size=shape)))
+        return out, len(calls)
+
+    @pytest.mark.parametrize("op", RECORDING_OPS)
+    def test_no_grad_records_nothing(self, monkeypatch, op):
+        with no_grad():
+            out, calls = self._run(monkeypatch, op, Parameter)
+        assert (out.requires_grad, out._parents, calls) == (False, (), 0)
+
+    @pytest.mark.parametrize("op", RECORDING_OPS)
+    def test_constant_inputs_record_nothing(self, monkeypatch, op):
+        out, calls = self._run(monkeypatch, op, Tensor)
+        assert (out.requires_grad, out._parents, calls) == (False, (), 0)
+
+    @pytest.mark.parametrize("op", RECORDING_OPS)
+    def test_parameter_input_records_one_node(self, monkeypatch, op):
+        out, calls = self._run(monkeypatch, op, Parameter)
+        assert out.requires_grad and out._parents and calls == 1
+
+
 class TestScatter:
     """The index path of backward, `_scatter_add`, against `np.add.at` on
     the same buffer: bitwise equal, shares summed in the same order."""

@@ -219,6 +219,45 @@ def test_degenerate_size_refused_before_any_file(pipeline, tmp_path, capsys, bad
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("config", [[1, 2], 5, {"epochs": "3"}, {"batch_size": 2.5, "epochs": 1},
+                                    {"epochs": True}],
+                         ids=["list", "number", "string-epochs", "float-batch-size",
+                              "bool-epochs"])
+def test_wrongly_typed_config_file_refused_before_any_file(pipeline, tmp_path, capsys, config):
+    cfg_path = tmp_path / "typed.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert main(["train", "--facts", str(pipeline / "splits" / "train.jsonl"),
+                 "--val-facts", str(pipeline / "splits" / "validation.jsonl"),
+                 "--hierarchy", str(pipeline / "data" / "hierarchy.json"),
+                 "--graph", str(pipeline / "graph" / "graph.json"),
+                 "--config", str(cfg_path), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["split", "build-graph"])
+@pytest.mark.parametrize("breakage", ["section-without-id", "chapters-not-a-list"])
+def test_malformed_hierarchy_refused_before_any_file(pipeline, tmp_path, capsys, command,
+                                                     breakage):
+    doc = json.loads((pipeline / "data" / "hierarchy.json").read_text())
+    if breakage == "section-without-id":
+        del doc["chapters"][0]["topics"][0]["sections"][0]["id"]
+    else:
+        doc["chapters"] = "x"
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([command, "--facts", str(pipeline / "splits" / "train.jsonl"),
+                 "--hierarchy", str(broken), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "broken.json" in err[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command,missing", [
     ("train", "--graph"), ("evaluate", "--facts"), ("predict", "--graph"),
 ])

@@ -65,6 +65,29 @@ class TestLoadHierarchy:
         with pytest.raises(HierarchyError):
             load_hierarchy(path, expected_sections=100)
 
+    @pytest.mark.parametrize("level", ["chapter", "topic", "section"])
+    def test_node_without_id_names_the_file(self, tmp_path, level):
+        path = write_hierarchy_file(tmp_path / "h.json", {"T1": ["S1"]})
+        doc = json.loads(path.read_text())
+        chapter = doc["chapters"][0]
+        node = {"chapter": chapter, "topic": chapter["topics"][0],
+                "section": chapter["topics"][0]["sections"][0]}[level]
+        del node["id"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(HierarchyError, match=f"h.json: a {level} under .* has no 'id'"):
+            load_hierarchy(path)
+
+    @pytest.mark.parametrize("key", ["chapters", "topics", "sections"])
+    def test_children_that_are_not_a_list_name_the_file(self, tmp_path, key):
+        path = write_hierarchy_file(tmp_path / "h.json", {"T1": ["S1"]})
+        doc = json.loads(path.read_text())
+        owner = {"chapters": doc, "topics": doc["chapters"][0],
+                 "sections": doc["chapters"][0]["topics"][0]}[key]
+        owner[key] = "x"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(HierarchyError, match=f"h.json: '{key}' of .* must be a list"):
+            load_hierarchy(path)
+
 
 class TestLoadFacts:
     def hierarchy(self, tmp_path):
@@ -101,6 +124,23 @@ class TestLoadFacts:
         h = self.hierarchy(tmp_path)
         path = write_facts_file(tmp_path / "f.jsonl", [{"id": "d1", "text": "ok."}])
         with pytest.raises(CorpusError, match=":1"):
+            load_facts(path, h)
+
+    def test_string_labels_refused_not_split_into_characters(self, tmp_path):
+        # "34" must not become sections 3 and 4
+        h = load_hierarchy(write_hierarchy_file(tmp_path / "h.json", {"T1": ["3", "4", "34"]}))
+        path = write_facts_file(tmp_path / "f.jsonl", [
+            {"id": "d1", "text": "ok.", "labels": ["34"]},
+            {"id": "d2", "text": "ok.", "labels": "34"},
+        ])
+        with pytest.raises(CorpusError, match=r"f\.jsonl:2: 'labels' must be a list"):
+            load_facts(path, h)
+
+    def test_record_that_is_not_an_object_names_line(self, tmp_path):
+        h = self.hierarchy(tmp_path)
+        path = tmp_path / "f.jsonl"
+        path.write_text('{"id": "d1", "text": "ok.", "labels": ["302"]}\n5\n')
+        with pytest.raises(CorpusError, match=r"f\.jsonl:2: record is not a JSON object"):
             load_facts(path, h)
 
     def test_empty_file_rejected(self, tmp_path):

@@ -1,5 +1,7 @@
 
 import gc
+import json
+from dataclasses import asdict
 
 import numpy as np
 import numpy.testing as npt
@@ -168,10 +170,20 @@ class TestConfigValidation:
         {"dropout": -0.5}, {"dropout": 1.0}, {"dropout": 1.5},
         {"batch_size": 0}, {"batch_size": -3}, {"epochs": -3}, {"structural": "bogus"},
         {"d_prime": 7},
+        # wrongly typed: ints take no bools or floats, floats no bools, strings only strings
+        {"epochs": "3"}, {"epochs": True}, {"batch_size": 2.5}, {"seed": np.bool_(False)},
+        {"tau": True}, {"lr": "1e-3"}, {"weighting": 1},
     ])
     def test_invalid_configs_rejected(self, bad):
         with pytest.raises(ValueError):
             TrainingConfig(**bad)
+
+    def test_numpy_scalars_become_python_values(self):
+        cfg = TrainingConfig(epochs=np.int64(3), tau=np.float32(0.5), eta=np.int32(4),
+                             weighting=np.str_("vws"))
+        assert [(v, type(v)) for v in (cfg.epochs, cfg.tau, cfg.eta, cfg.weighting)] == \
+            [(3, int), (0.5, float), (4, int), ("vws", str)]
+        json.dumps(asdict(cfg))  # what save_checkpoint stores
 
     @pytest.mark.parametrize("name", ["embed_dim", "d_prime", "d_node", "d_m", "d_s",
                                       "max_sents", "max_words", "k_instances"])
@@ -369,6 +381,19 @@ class TestPrediction:
         queried_facts = {n for n in graph.recorder if graph.phi(n) == "F"}
         train_ids = {d.id for d in train}
         assert queried_facts <= train_ids
+
+    def test_prediction_records_no_node(self, tmp_path, monkeypatch):
+        # perfbench's autodiff.tape_nodes counts `_tracked` calls, so that it
+        # counts recorded nodes: prediction runs without gradients, and adds none
+        model, _, _, _, test, *_ = tiny_setup(
+            tmp_path, n_docs=40, n_sections=5, epochs=1, embed_dim=32, d_prime=32, d_node=32,
+            d_m=32, d_s=32, max_sents=8, max_words=16)
+        calls = []
+        tracked = ad._tracked
+        monkeypatch.setattr(ad, "_tracked",
+                            lambda *args, **kw: calls.append(1) or tracked(*args, **kw))
+        _, scores = predict_corpus(model, test)
+        assert len(scores) == len(test) and calls == []
 
 
 class TestTuneThreshold:
