@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
+from lexcite import autodiff as ad
 from lexcite.autodiff import no_grad
 from lexcite.corpus import build_vocab, encode_corpus, load_facts, load_hierarchy
 from lexcite.graph import build_citation_graph
@@ -58,7 +59,9 @@ for i, sid in enumerate(sections[:3]):
 # --- the shared scorer produces three score types ------------------------------------
 with no_grad():
     fact_attr = model.text_encoder(grids, masks)
-    triple = model.scorer.score_triple(fact_attr, sec_attr, sec_struct, h_f_struct=None)
+    sections_pair = ad.stack([sec_attr, sec_struct], axis=0)
+    contextualized = model.scorer.contextualize_sections(sections_pair)
+    triple = model.scorer.score_triple(fact_attr, contextualized)
 print(f"\nattribute score matrix: {triple.attribute.shape} — text vs text")
 print(f"alignment score matrix: {triple.alignment.shape} — text vs graph")
 print(f"structural score at inference: {triple.structural} (facts are unseen nodes)")

@@ -61,13 +61,15 @@ def split_sentences(text: str) -> list[str]:
     return [s for s in _SENT_BOUNDARY.split(text) if s.strip()]
 
 
-def _tokenize_text_field(text) -> list[list[str]]:
+def _tokenize_text_field(text, where: str) -> list[list[str]]:
+    """Tokenized sentences of a ``text`` field; `where` names the field's
+    place in its file for the error."""
     if isinstance(text, str):
         raw_sentences = split_sentences(text)
     elif isinstance(text, list) and all(isinstance(s, str) for s in text):
         raw_sentences = text
     else:
-        raise CorpusError("text must be a string or a list of sentence strings")
+        raise CorpusError(f"{where}: text must be a string or a list of sentence strings")
     sentences = [tokenize(s) for s in raw_sentences]
     return [s for s in sentences if s]
 
@@ -172,7 +174,7 @@ def load_hierarchy(path, expected_sections: int | None = None) -> StatuteHierarc
             parent[tid] = cid
             for sec in children(topic, tid, "sections", "section"):
                 sid = str(sec["id"])
-                sentences = _tokenize_text_field(sec.get("text", ""))
+                sentences = _tokenize_text_field(sec.get("text", ""), f"{path}: section {sid!r}")
                 sections.append(Statute(id=sid, title=str(sec.get("title", "")),
                                         sentences=sentences, parent_topic=tid))
                 parent[sid] = tid
@@ -217,7 +219,7 @@ def load_facts_with_report(path, hierarchy: StatuteHierarchy):
             if doc_id in seen_ids:
                 raise CorpusError(f"{path}:{lineno}: duplicate document id {doc_id!r}")
             seen_ids.add(doc_id)
-            sentences = _tokenize_text_field(record["text"])
+            sentences = _tokenize_text_field(record["text"], f"{path}:{lineno}")
             if not sentences:
                 raise CorpusError(f"{path}:{lineno}: document {doc_id!r} has no tokens")
             if not isinstance(record["labels"], list):

@@ -5,6 +5,8 @@ Training forward passes score a batch of facts against the full section set
 three ways (attribute, structural, alignment). Inference drops everything
 fact-side-structural: a test fact is scored purely from its text plus the
 sections' graph-derived embeddings, which is what makes prediction inductive.
+Both encode the sections in one method, `encode_sections`, and score in one
+step, `MatchScorer.score_triple`.
 """
 
 from __future__ import annotations
@@ -70,63 +72,58 @@ class Model:
 
     # -- forward ------------------------------------------------------------------
 
-    def forward(self, fact_grids: np.ndarray, fact_masks: np.ndarray, sample_seed: int,
-                fact_ids: list[str] | None = None, training: bool = False,
-                dropout_rng: np.random.Generator | None = None) -> ScoreTriple:
-        """Score a batch of facts against every section.
+    def encode_sections(self, seed: int, keep=None) -> Tensor:
+        """The contextualized (attribute, structural) section pair (2, n_sec, d'):
+        one text-encoder call on the section grids, with dropout multipliers
+        `keep`, and walks seeded by `seed`. Training and inference share it."""
+        h_s_attr = self.text_encoder(self.section_grids, self.section_masks, keep=keep)
+        h_s_struct = self.struct_encoder.encode(self.graph, self.section_ids,
+                                                self.config.k_instances, seed,
+                                                attr_embeddings=h_s_attr)
+        return self.scorer.contextualize_sections(ad.stack([h_s_attr, h_s_struct], axis=0))
 
-        `fact_ids` enables the fact-side structural branch and must only be
-        given for facts that are nodes of the graph (training facts).
+    def forward(self, fact_grids: np.ndarray, fact_masks: np.ndarray, sample_seed: int,
+                fact_ids: list[str] | None = None,
+                dropout_rng: np.random.Generator | None = None) -> ScoreTriple:
+        """Score a batch of training facts against every section.
+
+        `fact_ids` enables the fact-side structural branch; each must be a
+        node of the graph (a training fact), else `UnknownNodeError`.
 
         The facts and the sections are encoded in two text-encoder calls, each
-        on its grids as `encode_corpus` built them, at their own extent. In
-        training, the dropout multipliers of all rows, facts first and then
-        sections, are drawn once per batch at the sentence cap, so a row's
-        draws do not depend on its batch-mates.
+        on its grids as `encode_corpus` built them, at their own extent. With
+        dropout, the multipliers of all rows, facts first and then sections,
+        are drawn once per batch at the sentence cap, so a row's draws do not
+        depend on its batch-mates.
         """
         n_facts = fact_grids.shape[0]
-        k = self.config.k_instances
         fact_keep = section_keep = None
-        if training and self.config.dropout > 0.0:
+        if self.config.dropout > 0.0:
             if dropout_rng is None:
-                raise ValueError("dropout in training mode needs an RNG")
+                raise ValueError("dropout needs an RNG")
             sent, doc = self.text_encoder.dropout_multipliers(
                 dropout_rng, n_facts + len(self.section_ids), self.config.max_sents)
             fact_keep = sent[:n_facts], doc[:n_facts]
             section_keep = sent[n_facts:], doc[n_facts:]
         h_f_attr = self.text_encoder(fact_grids, fact_masks, keep=fact_keep)
-        h_s_attr = self.text_encoder(self.section_grids, self.section_masks, keep=section_keep)
-        h_s_struct = self.struct_encoder.encode(self.graph, self.section_ids, k, sample_seed,
-                                                attr_embeddings=h_s_attr)
-        h_f_struct = None
-        if fact_ids is not None:
-            if not training:
-                raise ValueError("fact-side structural embeddings are training-only")
-            h_f_struct = self.struct_encoder.encode(self.graph, fact_ids, k, sample_seed,
-                                                    attr_embeddings=h_f_attr)
-        return self.scorer.score_triple(h_f_attr, h_s_attr, h_s_struct, h_f_struct)
+        contextualized = self.encode_sections(sample_seed, keep=section_keep)
+        h_f_struct = None if fact_ids is None else self.struct_encoder.encode(
+            self.graph, fact_ids, self.config.k_instances, sample_seed, attr_embeddings=h_f_attr)
+        return self.scorer.score_triple(h_f_attr, contextualized, h_f_struct)
 
     # -- inference ----------------------------------------------------------------
 
     def prepare_inference(self) -> Tensor:
-        """Encode and contextualize the section sets once, with walks seeded
-        by the config seed; reused per fact.
-
-        Returns the contextualized (attribute, structural) pair (2, n_sec, d')."""
+        """The contextualized section pair under the config seed, reused per fact."""
         with no_grad():
-            h_s_attr = self.text_encoder(self.section_grids, self.section_masks)
-            h_s_struct = self.struct_encoder.encode(self.graph, self.section_ids,
-                                                    self.config.k_instances, self.config.seed,
-                                                    attr_embeddings=h_s_attr)
-            return self.scorer.contextualize_sections(ad.stack([h_s_attr, h_s_struct], axis=0))
+            return self.encode_sections(self.config.seed)
 
     def score_one(self, state: Tensor, grid: np.ndarray, mask: np.ndarray):
         """Attribute and alignment scores for a single fact (inductive path:
         no fact-side graph access)."""
         with no_grad():
-            h_f = self.text_encoder(grid[None], mask[None])
-            o_attr, o_align = self.scorer.score_sections(h_f, state)
-            return o_attr.data[0], o_align.data[0]
+            triple = self.scorer.score_triple(self.text_encoder(grid[None], mask[None]), state)
+            return triple.attribute.data[0], triple.alignment.data[0]
 
     # -- parameter state ----------------------------------------------------------
 

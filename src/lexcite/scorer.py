@@ -4,7 +4,8 @@ Section embeddings are contextualized in statute order by a bidirectional
 LSTM, attention-pooled into one set vector, concatenated with the fact
 embedding and mapped through a sigmoid classifier to per-section scores.
 One parameter set serves all three score types (attribute, structural,
-alignment); only the embeddings fed in differ.
+alignment); only the embeddings fed in differ. `score_triple` is the one
+scoring step, for training and inference alike.
 """
 
 from __future__ import annotations
@@ -90,27 +91,22 @@ class MatchScorer:
         """Pooling contexts (batch, d_s) derived from fact embeddings (batch, d')."""
         return ad.matmul(h_f, self.att_ctx)
 
-    def score_sections(self, h_f: Tensor, contextualized: Tensor) -> tuple[Tensor, Tensor]:
-        """Attribute and alignment scores of fact embeddings (batch, d')
-        against the contextualized (attribute, structural) section pair
-        (2, n_sec, d'). Both pool with the context derived from `h_f`.
-        Training and inductive prediction share this step."""
-        context = self.fact_context(h_f)
-        pooled_attr, _ = self.pool_sections(contextualized[0], context)
-        pooled_struct, _ = self.pool_sections(contextualized[1], context)
-        return self.score(h_f, pooled_attr), self.score(h_f, pooled_struct)
-
-    def score_triple(self, h_f_attr: Tensor, h_s_attr: Tensor, h_s_struct: Tensor,
+    def score_triple(self, h_f_attr: Tensor, contextualized: Tensor,
                      h_f_struct: Tensor | None = None) -> ScoreTriple:
-        """Attribute, alignment and (training only) structural scores.
+        """Attribute, alignment and (training only) structural scores of fact
+        embeddings (batch, d') against the contextualized (attribute,
+        structural) section pair (2, n_sec, d').
 
         Each application of the scorer derives its pooling context from the
         fact embedding it scores with: the attribute and alignment scores
         share the attribute-derived context, the structural score uses the
         structural fact embedding (so its gradients stay on the graph side).
         """
-        contextualized = self.contextualize_sections(ad.stack([h_s_attr, h_s_struct], axis=0))
-        triple = ScoreTriple(*self.score_sections(h_f_attr, contextualized))
+        context = self.fact_context(h_f_attr)
+        pooled_attr, _ = self.pool_sections(contextualized[0], context)
+        pooled_struct, _ = self.pool_sections(contextualized[1], context)
+        triple = ScoreTriple(self.score(h_f_attr, pooled_attr),
+                             self.score(h_f_attr, pooled_struct))
         if h_f_struct is not None:
             struct_context = self.fact_context(h_f_struct)
             pooled_for_struct, _ = self.pool_sections(contextualized[1], struct_context)

@@ -83,15 +83,13 @@ class MetapathEncoder:
 
     # -- batched encoding ---------------------------------------------------------
 
-    def encode(self, graph: HeteroGraph, node_ids: list[str], k: int, seed: int,
-               attr_embeddings: Tensor | None = None, return_weights: bool = False):
+    def encode(self, graph: HeteroGraph, node_ids: list[str], k: int, seed: int, *,
+               attr_embeddings: Tensor, return_weights: bool = False):
         """Encode nodes of one type into (n, d') structural embeddings.
 
         `attr_embeddings` (n, d') are the nodes' attribute embeddings, row for
         row; every attention context is derived from them."""
         gidx, node_type = _batch_nodes(graph, node_ids)
-        if attr_embeddings is None:
-            raise ValueError("attention contexts require attribute embeddings")
         schemas = self.sides[node_type]
         n = len(gidx)
 

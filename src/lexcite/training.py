@@ -277,7 +277,7 @@ def train_model(model: Model, train_docs: list[FactDocument], val_docs: list[Fac
             grids, masks = encode_corpus(docs, model.vocab, config.max_sents, config.max_words)
             fact_ids = [doc.id for doc in docs] if use_structural else None
             triple = model.forward(grids, masks, sample_seed, fact_ids=fact_ids,
-                                   training=True, dropout_rng=dropout_rng)
+                                   dropout_rng=dropout_rng)
             y = targets[batch]
             loss_a = weighted_bce(triple.attribute, y, weights)
             loss_l = weighted_bce(triple.alignment, y, weights)

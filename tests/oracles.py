@@ -225,7 +225,8 @@ def forward_concatenated(model, fact_grids, fact_masks, sample_seed, fact_ids=No
     if fact_ids is not None:
         h_f_struct = encode(model.graph, fact_ids, config.k_instances, sample_seed,
                             attr_embeddings=h_f)
-    return model.scorer.score_triple(h_f, h_s, h_s_struct, h_f_struct)
+    contextualized = model.scorer.contextualize_sections(ad.stack([h_s, h_s_struct], axis=0))
+    return model.scorer.score_triple(h_f, contextualized, h_f_struct)
 
 
 def attention_pool_scalar(vecs, m_mat, b_vec, context, mask=None):

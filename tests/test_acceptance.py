@@ -90,7 +90,7 @@ def test_criterion_1_gradient_fidelity(tmp_path):
     fact_ids = [d.id for d in docs]
 
     def loss_tensor():
-        triple = model.forward(grids, masks, sample_seed=7, fact_ids=fact_ids, training=True)
+        triple = model.forward(grids, masks, sample_seed=7, fact_ids=fact_ids)
         return combined_loss(weighted_bce(triple.attribute, targets, weights),
                              weighted_bce(triple.structural, targets, weights),
                              weighted_bce(triple.alignment, targets, weights), cfg)

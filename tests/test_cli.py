@@ -239,14 +239,18 @@ def test_wrongly_typed_config_file_refused_before_any_file(pipeline, tmp_path, c
 
 
 @pytest.mark.parametrize("command", ["split", "build-graph"])
-@pytest.mark.parametrize("breakage", ["section-without-id", "chapters-not-a-list"])
+@pytest.mark.parametrize("breakage", ["section-without-id", "chapters-not-a-list",
+                                      "section-text-not-text"])
 def test_malformed_hierarchy_refused_before_any_file(pipeline, tmp_path, capsys, command,
                                                      breakage):
     doc = json.loads((pipeline / "data" / "hierarchy.json").read_text())
+    section = doc["chapters"][0]["topics"][0]["sections"][0]
     if breakage == "section-without-id":
-        del doc["chapters"][0]["topics"][0]["sections"][0]["id"]
-    else:
+        del section["id"]
+    elif breakage == "chapters-not-a-list":
         doc["chapters"] = "x"
+    else:
+        section["text"] = 5
     broken = tmp_path / "broken.json"
     broken.write_text(json.dumps(doc))
     out = tmp_path / "out"
@@ -255,6 +259,8 @@ def test_malformed_hierarchy_refused_before_any_file(pipeline, tmp_path, capsys,
                  "--hierarchy", str(broken), "--out-dir", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "broken.json" in err[0]
+    if breakage == "section-text-not-text":
+        assert repr(section["id"]) in err[0]
     assert not out.exists()
 
 

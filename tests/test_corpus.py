@@ -116,9 +116,10 @@ class TestLoadFacts:
     def test_malformed_record_names_line(self, tmp_path):
         h = self.hierarchy(tmp_path)
         path = tmp_path / "f.jsonl"
-        path.write_text('{"id": "d1", "text": "ok.", "labels": ["302"]}\n{bad json\n')
-        with pytest.raises(CorpusError, match=":2"):
-            load_facts(path, h)
+        for second in ('{bad json', '{"id": "d2", "text": 5, "labels": ["302"]}'):
+            path.write_text('{"id": "d1", "text": "ok.", "labels": ["302"]}\n' + second + "\n")
+            with pytest.raises(CorpusError, match=r"f\.jsonl:2: "):
+                load_facts(path, h)
 
     def test_missing_field_names_line(self, tmp_path):
         h = self.hierarchy(tmp_path)

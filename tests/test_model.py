@@ -8,7 +8,7 @@ import pytest
 from lexcite.autodiff import no_grad
 from lexcite.corpus import (FactDocument, StatuteHierarchy, build_vocab, encode_corpus,
                             load_facts, load_hierarchy)
-from lexcite.graph import build_citation_graph
+from lexcite.graph import UnknownNodeError, build_citation_graph
 from lexcite.han import TextEncoder
 from lexcite.model import Model
 from lexcite.split import SplitSpec, iterative_stratified_split
@@ -38,8 +38,7 @@ def test_forward_shapes(setup):
     model, graph, train, val, test, hierarchy, vocab, config = setup
     grids, masks = encode_corpus(train[:5], vocab, config.max_sents, config.max_words)
     with no_grad():
-        triple = model.forward(grids, masks, sample_seed=0, fact_ids=[d.id for d in train[:5]],
-                               training=True)
+        triple = model.forward(grids, masks, sample_seed=0, fact_ids=[d.id for d in train[:5]])
     n_sections = len(hierarchy.section_ids)
     assert triple.attribute.shape == (5, n_sections)
     assert triple.alignment.shape == (5, n_sections)
@@ -57,7 +56,7 @@ def test_forward_matches_one_concatenated_call(setup):
     grids, masks = encode_corpus(batch, vocab, config.max_sents, config.max_words)
     fact_ids = [d.id for d in batch]
     with no_grad():
-        got = model.forward(grids, masks, sample_seed=3, fact_ids=fact_ids, training=True)
+        got = model.forward(grids, masks, sample_seed=3, fact_ids=fact_ids)
         want = forward_concatenated(model, grids, masks, sample_seed=3, fact_ids=fact_ids)
     for name in ("attribute", "structural", "alignment"):
         npt.assert_allclose(getattr(got, name).data, getattr(want, name).data, rtol=0,
@@ -92,8 +91,7 @@ def test_dropout_of_a_fact_ignores_its_batch_mates(setup, monkeypatch):
     monkeypatch.setattr(TextEncoder, "__call__", spy)
     for mate in (long_, short):
         grids, masks = encode_corpus([fact, mate], vocab, cfg.max_sents, cfg.max_words)
-        model.forward(grids, masks, sample_seed=0, training=True,
-                      dropout_rng=np.random.default_rng(7))
+        model.forward(grids, masks, sample_seed=0, dropout_rng=np.random.default_rng(7))
     (long_shape, long_keep, long_out), _, (short_shape, short_keep, short_out), _ = seen
     assert long_shape != short_shape
     npt.assert_array_equal(long_keep[0][0], short_keep[0][0])  # sentence level, at the cap
@@ -102,12 +100,13 @@ def test_dropout_of_a_fact_ignores_its_batch_mates(setup, monkeypatch):
     npt.assert_allclose(long_out[0], short_out[0], rtol=0, atol=1e-12)
 
 
-def test_fact_structural_requires_training_flag(setup):
-    model, graph, train, _, _, hierarchy, vocab, config = setup
-    grids, masks = encode_corpus(train[:2], vocab, config.max_sents, config.max_words)
-    with pytest.raises(ValueError, match="training-only"):
-        model.forward(grids, masks, sample_seed=0, fact_ids=[d.id for d in train[:2]],
-                      training=False)
+def test_forward_refuses_a_test_fact_as_graph_node(setup):
+    # the inductive gate: a test fact is never a graph node, so asking for
+    # its fact-side structural embedding fails
+    model, graph, train, _, test, hierarchy, vocab, config = setup
+    grids, masks = encode_corpus([train[0], test[0]], vocab, config.max_sents, config.max_words)
+    with pytest.raises(UnknownNodeError, match=test[0].id), no_grad():
+        model.forward(grids, masks, sample_seed=0, fact_ids=[train[0].id, test[0].id])
 
 
 def test_inference_path_matches_training_scores(setup):
@@ -118,8 +117,8 @@ def test_inference_path_matches_training_scores(setup):
         triple = model.forward(grids, masks, sample_seed=config.seed)
     state = model.prepare_inference()
     o_attr, o_align = model.score_one(state, grids[0], masks[0])
-    npt.assert_allclose(o_attr, triple.attribute.data[0], atol=1e-12)
-    npt.assert_allclose(o_align, triple.alignment.data[0], atol=1e-12)
+    npt.assert_array_equal(o_attr, triple.attribute.data[0])
+    npt.assert_array_equal(o_align, triple.alignment.data[0])
 
 
 def test_checkpoint_roundtrip(tmp_path, setup):

@@ -53,7 +53,7 @@ def _training_loss(model: Model, desk) -> Tensor:
     weights = class_weights(citation_frequencies(desk.train, model.section_ids),
                             len(desk.train), config)
     triple = model.forward(grids, masks, sample_seed=3, fact_ids=[d.id for d in docs],
-                           training=True, dropout_rng=np.random.default_rng(5))
+                           dropout_rng=np.random.default_rng(5))
     return combined_loss(weighted_bce(triple.attribute, targets, weights),
                          weighted_bce(triple.structural, targets, weights),
                          weighted_bce(triple.alignment, targets, weights), config)

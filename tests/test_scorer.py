@@ -14,6 +14,11 @@ def scorer(rng, n_sections=3, d=4):
     return MatchScorer(rng, n_sections, d_prime=d, d_s=d)
 
 
+def pair(sc, h_attr, h_struct):
+    """The contextualized (attribute, structural) section pair score_triple takes."""
+    return sc.contextualize_sections(ad.stack([h_attr, h_struct], axis=0))
+
+
 class TestContextualize:
     def test_singleton_sequence(self, rng):
         sc = scorer(rng, n_sections=1, d=2)
@@ -174,7 +179,7 @@ class TestScoreTriple:
         h_attr = Tensor(rng.normal(size=(3, 4)))
         h_struct = Tensor(rng.normal(size=(3, 4)))
         with no_grad():
-            triple = sc.score_triple(h_f, h_attr, h_struct)
+            triple = sc.score_triple(h_f, pair(sc, h_attr, h_struct))
         assert triple.structural is None
         assert triple.attribute.shape == (2, 3)
         assert triple.alignment.shape == (2, 3)
@@ -184,7 +189,7 @@ class TestScoreTriple:
         h_f = Tensor(rng.normal(size=(2, 4)))
         h_s = Tensor(rng.normal(size=(3, 4)))
         with no_grad():
-            triple = sc.score_triple(h_f, h_s, h_s, h_f)
+            triple = sc.score_triple(h_f, pair(sc, h_s, h_s), h_f)
         npt.assert_array_equal(triple.attribute.data, triple.alignment.data)
         npt.assert_array_equal(triple.attribute.data, triple.structural.data)
 
@@ -198,9 +203,9 @@ class TestScoreTriple:
         h_attr = Tensor(rng.normal(size=(3, 4)))
         h_struct = Tensor(rng.normal(size=(3, 4)))
         with no_grad():
-            before = sc.score_triple(h_f, h_attr, h_struct, h_f)
+            before = sc.score_triple(h_f, pair(sc, h_attr, h_struct), h_f)
             sc.classifier_b.data += 0.5
-            after = sc.score_triple(h_f, h_attr, h_struct, h_f)
+            after = sc.score_triple(h_f, pair(sc, h_attr, h_struct), h_f)
         for name in ("attribute", "alignment", "structural"):
             assert not np.allclose(getattr(before, name).data, getattr(after, name).data)
 
@@ -215,7 +220,7 @@ class TestScoreTriple:
         y = (rng.random((2, 3)) > 0.5).astype(float)
 
         def loss_tensor():
-            triple = sc.score_triple(h_f, h_attr, h_struct, h_fs)
+            triple = sc.score_triple(h_f, pair(sc, h_attr, h_struct), h_fs)
             total = Tensor(0.0)
             for part in (triple.attribute, triple.alignment, triple.structural):
                 clamped = ad.clip(part, 1e-7, 1 - 1e-7)

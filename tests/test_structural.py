@@ -319,10 +319,11 @@ class TestEncodeNode:
             enc.encode(g, ["F_test_99"], k=2, seed=0, attr_embeddings=attr_rows(rng, 1))
 
     def test_missing_attribute_embeddings_rejected(self, rng):
-        # every attention context is derived from them; there is no fallback
+        # every attention context is derived from them; there is no fallback,
+        # so the argument is required
         g = paper_figure_graph()
         enc = make_encoder(rng, g)
-        with pytest.raises(ValueError, match="attribute embeddings"), no_grad():
+        with pytest.raises(TypeError, match="attr_embeddings"), no_grad():
             enc.encode(g, g.type_ids("S"), k=2, seed=0)
 
     def test_gradients_match_finite_differences(self, rng):
